@@ -13,6 +13,7 @@ from .core import (
     Signature,
     Subuniverse,
     UalgError,
+    UnknownElement,
     is_subuniverse,
     validate_algebra,
 )

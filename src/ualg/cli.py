@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=10_000_000,
                         help="search/enumeration budget")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker count hint; results are identical for any value")
+                        help="accepted and ignored; kept for compatibility")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized representative tests only")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -33,6 +33,10 @@ class BudgetExceeded(UalgError):
     """A search or enumeration exceeded its configured budget."""
 
 
+class UnknownElement(UalgError):
+    """An element name that is not in the algebra's carrier."""
+
+
 @dataclass(frozen=True)
 class Signature:
     """Ordered operation symbols with finite arities.
@@ -118,7 +122,10 @@ class FiniteAlgebra:
         return self.table(symbol)[_row_major_index(args, len(self.carrier))]
 
     def apply(self, symbol: str, *args: str) -> str:
-        idx = [self.index_of[a] for a in args]
+        try:
+            idx = [self.index_of[a] for a in args]
+        except KeyError as exc:
+            raise UnknownElement(f"unknown element: {exc.args[0]}") from None
         return self.carrier[self.apply_index(symbol, idx)]
 
     def nullary_value(self, symbol: str) -> str:
@@ -205,7 +212,7 @@ def is_subuniverse(
     members = set()
     for e in subset:
         if e not in alg.index_of:
-            raise KeyError(f"unknown element: {e}")
+            raise UnknownElement(f"unknown element: {e}")
         members.add(alg.index_of[e])
     for sym, arity in alg.signature.symbols:
         table = alg.table(sym)

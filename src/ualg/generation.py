@@ -7,7 +7,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import BudgetExceeded, FiniteAlgebra, Subuniverse, _row_major_index
+from .core import (
+    BudgetExceeded,
+    FiniteAlgebra,
+    Subuniverse,
+    UalgError,
+    UnknownElement,
+    _row_major_index,
+)
 from .terms import App, Term, Var
 
 
@@ -43,7 +50,7 @@ def generate(alg: FiniteAlgebra, seed: Iterable[str]) -> GenerationResult:
     current: set[int] = set()
     for e in seed:
         if e not in alg.index_of:
-            raise KeyError(f"unknown seed element: {e}")
+            raise UnknownElement(f"unknown seed element: {e}")
         current.add(alg.index_of[e])
     for sym in alg.signature.nullary_names():
         current.add(alg.table(sym)[0])
@@ -142,7 +149,7 @@ def clone_n(alg: FiniteAlgebra, n: int, budget: int = 1_000_000) -> CloneFragmen
     budget caps the number of composition attempts; on overrun the
     partial fragment is returned with complete=False."""
     if n < 1:
-        raise ValueError("clone arity must be >= 1")
+        raise UalgError("clone arity must be >= 1")
     k = len(alg.carrier)
     points = list(itertools.product(range(k), repeat=n))
 

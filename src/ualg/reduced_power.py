@@ -130,13 +130,6 @@ def pointwise_apply(symbol: str, args: Sequence[EpSequence]) -> EpSequence:
     return canonicalize(base, pre, per)
 
 
-def apply_in_extension(base: FiniteAlgebra, symbol: str, args: Sequence[EpSequence]) -> EpSequence:
-    """pointwise_apply that also covers nullary symbols."""
-    if base.signature.arity(symbol) == 0:
-        return std_embed(base, base.nullary_value(symbol))
-    return pointwise_apply(symbol, args)
-
-
 @dataclass(frozen=True)
 class GeneratedExtension:
     """The closure of the constant sequences and the adjoined generators

@@ -6,12 +6,11 @@ and commas, variables bare, nullary symbols written name().
 
 from __future__ import annotations
 
-import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
-from .core import FiniteAlgebra, UalgError
+from .core import FiniteAlgebra, UalgError, UnknownElement
 
 
 class TermError(UalgError):
@@ -137,6 +136,17 @@ class EvalStats:
         self.lookups = 0
 
 
+def _check_app(alg: FiniteAlgebra, term: App) -> None:
+    """The TermError for an unknown symbol or a wrong argument count."""
+    if term.symbol not in alg.signature.by_name:
+        raise TermError(f"unknown symbol: {term.symbol}")
+    if alg.signature.arity(term.symbol) != len(term.args):
+        raise TermError(
+            f"arity mismatch for {term.symbol}: signature says "
+            f"{alg.signature.arity(term.symbol)}, term has {len(term.args)}"
+        )
+
+
 def eval_term(
     alg: FiniteAlgebra,
     term: Term,
@@ -147,16 +157,13 @@ def eval_term(
     their subterms and then do a single table lookup."""
     if isinstance(term, Var):
         try:
-            return binding[term.index]
+            value = binding[term.index]
         except KeyError:
             raise TermError(f"unbound variable index {term.index}") from None
-    if term.symbol not in alg.signature.by_name:
-        raise TermError(f"unknown symbol: {term.symbol}")
-    if alg.signature.arity(term.symbol) != len(term.args):
-        raise TermError(
-            f"arity mismatch for {term.symbol}: signature says "
-            f"{alg.signature.arity(term.symbol)}, term has {len(term.args)}"
-        )
+        if value not in alg.index_of:
+            raise UnknownElement(f"unknown element: {value}")
+        return value
+    _check_app(alg, term)
     args = [eval_term(alg, a, binding, stats) for a in term.args]
     if stats is not None:
         stats.lookups += 1
@@ -169,21 +176,86 @@ class SatisfactionResult:
     counterexample: Optional[dict[str, str]] = None
 
 
-def bindings(alg: FiniteAlgebra, variables: Sequence[str]) -> Iterator[dict[int, str]]:
-    """All bindings in lexicographic order (carrier order per variable)."""
-    for combo in itertools.product(alg.carrier, repeat=len(variables)):
-        yield dict(enumerate(combo))
+# Bindings are numbered row-major over the declared variables (the first
+# variable most significant), so binding t gives variable i the carrier
+# index (t // k**(n-1-i)) % k.  Equations are checked over consecutive
+# ranges of t: the first range is short, so an early counterexample costs
+# little, and each later one is as long as all before it, up to a cap
+# that bounds the memory of the per-node value lists.
+_FIRST_RANGE = 64
+_MAX_RANGE = 4096
+
+
+def _compile(
+    alg: FiniteAlgebra,
+    term: Term,
+    n: int,
+    slots: dict[Term, int],
+    program: list[tuple],
+) -> int:
+    """Append the nodes of `term` not yet in `slots` to `program`, children
+    first, and return the slot of its value.  Raises the TermError that
+    eval_term would raise first on this term (pre-order, left to right)."""
+    slot = slots.get(term)
+    if slot is not None:
+        return slot
+    if isinstance(term, Var):
+        if not 0 <= term.index < n:
+            raise TermError(f"unbound variable index {term.index}")
+        step = (None, len(alg.carrier) ** (n - 1 - term.index))
+    else:
+        _check_app(alg, term)
+        args = tuple(_compile(alg, a, n, slots, program) for a in term.args)
+        step = (alg.table(term.symbol), args)
+    slots[term] = slot = len(program)
+    program.append(step)
+    return slot
+
+
+def _run(program: list[tuple], k: int, start: int, stop: int) -> list[list[int]]:
+    """The value list of every program node over bindings start..stop-1."""
+    values: list[list[int]] = []
+    for table, arg in program:
+        if table is None:  # a variable; arg is its stride
+            col = [(t // arg) % k for t in range(start, stop)]
+        elif not arg:
+            col = [table[0]] * (stop - start)
+        elif len(arg) == 2:
+            col = [table[a * k + b] for a, b in zip(values[arg[0]], values[arg[1]])]
+        else:
+            idx = values[arg[0]]
+            for j in arg[1:]:
+                idx = [i * k + b for i, b in zip(idx, values[j])]
+            col = [table[i] for i in idx]
+        values.append(col)
+    return values
 
 
 def satisfies(alg: FiniteAlgebra, eq: Equation) -> SatisfactionResult:
-    """Brute force over every binding of the declared variables.  The
-    first violating binding in lexicographic order is reported."""
-    for binding in bindings(alg, eq.variables):
-        lhs = eval_term(alg, eq.lhs, binding)
-        rhs = eval_term(alg, eq.rhs, binding)
-        if lhs != rhs:
-            named = {eq.variables[i]: v for i, v in binding.items()}
+    """Check every binding of the declared variables.  The first violating
+    binding in lexicographic order is reported.
+
+    Both sides are evaluated into lists of carrier indices over ranges of
+    bindings, each shared subterm once per range."""
+    n = len(eq.variables)
+    slots: dict[Term, int] = {}
+    program: list[tuple] = []
+    lhs = _compile(alg, eq.lhs, n, slots, program)
+    rhs = _compile(alg, eq.rhs, n, slots, program)
+    k = len(alg.carrier)
+    total = k**n
+    start = 0
+    while start < total:
+        stop = min(total, start + min(max(start, _FIRST_RANGE), _MAX_RANGE))
+        values = _run(program, k, start, stop)
+        left, right = values[lhs], values[rhs]
+        if left != right:
+            t = start + next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
+            named = {
+                eq.variables[i]: alg.carrier[(t // k ** (n - 1 - i)) % k] for i in range(n)
+            }
             return SatisfactionResult(False, named)
+        start = stop
     return SatisfactionResult(True)
 
 
@@ -202,21 +274,13 @@ class SatisfactionReport:
 
 
 def satisfies_all(alg: FiniteAlgebra, eqs: EquationSet, workers: int = 1) -> SatisfactionReport:
-    """Per-equation verdicts; "variety member" iff all pass.
+    """Per-equation verdicts in equation order; "variety member" iff all pass.
 
-    workers > 1 partitions the equations across threads; the merge is in
-    equation order, so output is schedule-independent.
+    workers is accepted for compatibility and ignored: the check runs in
+    one thread, and the result never depends on it.
     """
-    equations = list(eqs.equations)
-    if workers > 1 and len(equations) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(lambda e: satisfies(alg, e), equations))
-    else:
-        verdicts = [satisfies(alg, eq) for eq in equations]
     return SatisfactionReport(
         algebra=alg.name,
         equation_set=eqs.name,
-        results=tuple(zip(equations, verdicts)),
+        results=tuple((eq, satisfies(alg, eq)) for eq in eqs.equations),
     )

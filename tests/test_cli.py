@@ -191,3 +191,28 @@ def test_json_byte_stability_across_runs_and_workers(capsys):
             assert code == 0
             outputs.add(out)
     assert len(outputs) == 1
+
+
+def assert_one_line_input_error(code, out, err, message):
+    assert code == 2
+    assert out == ""
+    assert err == message + "\n"
+
+
+def test_eval_unknown_element(capsys):
+    code, out, err = run(capsys, "eval", BO, "--algebra", "O",
+                         "--term", "and(x,y)", "--bind", "x=zz,y=b1")
+    assert_one_line_input_error(code, out, err, "unknown element: zz")
+    code, out, err = run(capsys, "eval", BO, "--algebra", "O", "--term", "x",
+                         "--bind", "x=zz")
+    assert_one_line_input_error(code, out, err, "unknown element: zz")
+
+
+def test_gen_unknown_element(capsys):
+    code, out, err = run(capsys, "gen", BO, "--algebra", "O", "--elements", "zz")
+    assert_one_line_input_error(code, out, err, "unknown seed element: zz")
+
+
+def test_clone_arity_zero(capsys):
+    code, out, err = run(capsys, "clone", BO, "--algebra", "B", "--arity", "0")
+    assert_one_line_input_error(code, out, err, "clone arity must be >= 1")
