@@ -10,6 +10,7 @@ identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -122,6 +123,8 @@ def cmd_eval(args) -> int:
         if "=" not in item:
             raise CliError(f"bad binding: {item!r} (expected var=element)")
         var, val = item.split("=", 1)
+        if var.strip() in binding_named:
+            raise CliError(f"repeated variable in --bind: {var.strip()}")
         binding_named[var.strip()] = val.strip()
     variables = list(binding_named)
     term = parse_term(args.term, variables)
@@ -248,10 +251,7 @@ def cmd_retracts(args) -> int:
 def cmd_reduct(args) -> int:
     alg = _pick(_load_algebras(args.file), args.algebra, args.file)
     keep = [s for s in args.keep.split(",") if s]
-    try:
-        out = reduct(alg, keep, name=args.name)
-    except KeyError as exc:
-        raise CliError(str(exc))
+    out = reduct(alg, keep, name=args.name)
     _emit(args, {"algebra": serialize_algebra(out)}, serialize_algebra(out).rstrip("\n"))
     return 0
 
@@ -438,10 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process, on first use: ~3 ms, against ~0.1 ms to parse
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

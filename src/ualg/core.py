@@ -37,6 +37,12 @@ class UnknownElement(UalgError):
     """An element name that is not in the algebra's carrier."""
 
 
+class UnknownSymbol(UalgError, KeyError):
+    """A symbol name that is not in the signature."""
+
+    __str__ = Exception.__str__  # no KeyError quotes
+
+
 @dataclass(frozen=True)
 class Signature:
     """Ordered operation symbols with finite arities.
@@ -65,7 +71,7 @@ class Signature:
         try:
             return self.by_name[symbol]
         except KeyError:
-            raise KeyError(f"unknown symbol: {symbol}") from None
+            raise UnknownSymbol(f"unknown symbol: {symbol}") from None
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.symbols)
@@ -78,11 +84,39 @@ class Signature:
         return set(self.symbols) == set(other.symbols)
 
 
-def _row_major_index(args: Sequence[int], size: int) -> int:
-    idx = 0
-    for a in args:
-        idx = idx * size + a
-    return idx
+def arg_columns(n: int, m: int) -> list[list[int]]:
+    """The m argument columns of all n**m row-major argument tuples over
+    range(n): column j holds the j-th component of every tuple."""
+    return [[v for v in range(n) for _ in range(n ** (m - 1 - j))] * n**j for j in range(m)]
+
+
+def apply_columns(table: Sequence[int], k: int, columns: Sequence[Sequence[int]],
+                  rows: int = 1) -> list[int]:
+    """Row r applies the operation to the r-th entries of the argument
+    columns, carrier indices over k elements.  A nullary operation has no
+    columns and gives `rows` copies of its value."""
+    if not columns:
+        return [table[0]] * rows
+    if len(columns) == 1:
+        return [table[a] for a in columns[0]]
+    if len(columns) == 2:
+        return [table[a * k + b] for a, b in zip(*columns)]
+    idx = columns[0]
+    for col in columns[1:]:
+        idx = [i * k + b for i, b in zip(idx, col)]
+    return [table[i] for i in idx]
+
+
+def semi_naive_tuples(count: int, new_from: int, arity: int) -> Iterable[tuple[int, ...]]:
+    """Row-major argument tuples over members 0..count-1 that hold a new
+    member (index >= new_from): tuples of older members were all applied
+    in an earlier closure round (semi-naive iteration)."""
+    if arity == 0:
+        return
+    for prefix in itertools.product(range(count), repeat=arity - 1):
+        low = 0 if prefix and max(prefix) >= new_from else new_from
+        for last in range(low, count):
+            yield prefix + (last,)
 
 
 @dataclass(frozen=True)
@@ -110,7 +144,7 @@ class FiniteAlgebra:
         try:
             return self._table_by_name[symbol]
         except KeyError:
-            raise KeyError(f"unknown symbol: {symbol}") from None
+            raise UnknownSymbol(f"unknown symbol: {symbol}") from None
 
     def size(self) -> int:
         return len(self.carrier)
@@ -119,7 +153,7 @@ class FiniteAlgebra:
         arity = self.signature.arity(symbol)
         if len(args) != arity:
             raise ValueError(f"{symbol} expects {arity} arguments, got {len(args)}")
-        return self.table(symbol)[_row_major_index(args, len(self.carrier))]
+        return apply_columns(self.table(symbol), len(self.carrier), [[a] for a in args])[0]
 
     def apply(self, symbol: str, *args: str) -> str:
         try:
@@ -130,10 +164,6 @@ class FiniteAlgebra:
 
     def nullary_value(self, symbol: str) -> str:
         return self.carrier[self.table(symbol)[0]]
-
-    def arg_tuples(self, arity: int) -> Iterable[tuple[int, ...]]:
-        """All argument index tuples in row-major (lexicographic) order."""
-        return itertools.product(range(len(self.carrier)), repeat=arity)
 
 
 def validate_algebra(
@@ -214,18 +244,13 @@ def is_subuniverse(
         if e not in alg.index_of:
             raise UnknownElement(f"unknown element: {e}")
         members.add(alg.index_of[e])
+    ordered = sorted(members)
     for sym, arity in alg.signature.symbols:
-        table = alg.table(sym)
-        if arity == 0:
-            if table[0] not in members:
-                return False, ClosureWitness(sym, (), alg.carrier[table[0]])
-            continue
-        k = len(alg.carrier)
-        for args in itertools.product(sorted(members), repeat=arity):
-            out = table[_row_major_index(args, k)]
+        cols = [[ordered[i] for i in col] for col in arg_columns(len(ordered), arity)]
+        for t, out in enumerate(apply_columns(alg.table(sym), len(alg.carrier), cols)):
             if out not in members:
                 return False, ClosureWitness(
-                    sym, tuple(alg.carrier[a] for a in args), alg.carrier[out]
+                    sym, tuple(alg.carrier[col[t]] for col in cols), alg.carrier[out]
                 )
     return True, None
 
@@ -239,25 +264,25 @@ class Subuniverse:
 
     @classmethod
     def of(cls, parent: FiniteAlgebra, members: Iterable[str]) -> "Subuniverse":
-        ordered = tuple(e for e in parent.carrier if e in set(members))
-        closed, witness = is_subuniverse(parent, ordered)
+        members = list(members)
+        closed, witness = is_subuniverse(parent, members)  # raises UnknownElement
         if not closed:
             raise ValueError(f"not a subuniverse, escaping application: {witness}")
-        return cls(parent=parent, members=ordered)
+        wanted = set(members)
+        return cls(parent=parent, members=tuple(e for e in parent.carrier if e in wanted))
 
     def as_algebra(self, name: Optional[str] = None) -> FiniteAlgebra:
         """The induced algebra on the members (empty members is an error)."""
         if not self.members:
             raise ValueError("empty subuniverse is not an algebra")
-        sub_index = {e: i for i, e in enumerate(self.members)}
-        k = len(self.members)
+        parent = self.parent
+        sub = [parent.index_of[e] for e in self.members]
+        sub_index = {v: i for i, v in enumerate(sub)}
         tables = []
-        for sym, arity in self.parent.signature.symbols:
-            values = []
-            for args in itertools.product(self.members, repeat=arity):
-                values.append(sub_index[self.parent.apply(sym, *args)])
-            assert len(values) == k**arity
-            tables.append(tuple(values))
+        for sym, arity in parent.signature.symbols:
+            cols = [[sub[i] for i in col] for col in arg_columns(len(sub), arity)]
+            out = apply_columns(parent.table(sym), len(parent.carrier), cols)
+            tables.append(tuple(sub_index[v] for v in out))
         return FiniteAlgebra(
             name=name or f"{self.parent.name}_sub",
             carrier=self.members,

@@ -7,14 +7,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import (
-    BudgetExceeded,
-    FiniteAlgebra,
-    Subuniverse,
-    UalgError,
-    UnknownElement,
-    _row_major_index,
-)
+from .core import BudgetExceeded, FiniteAlgebra, Subuniverse, UalgError, UnknownElement
+from .core import apply_columns, arg_columns, is_subuniverse, semi_naive_tuples
 from .terms import App, Term, Var
 
 
@@ -25,7 +19,6 @@ class GenerationTrace:
 
     generators: tuple[str, ...]
     stages: tuple[tuple[str, ...], ...]
-    fixpoint: bool
 
 
 @dataclass(frozen=True)
@@ -58,25 +51,26 @@ def generate(alg: FiniteAlgebra, seed: Iterable[str]) -> GenerationResult:
     def as_elements(idx: set[int]) -> tuple[str, ...]:
         return tuple(e for i, e in enumerate(alg.carrier) if i in idx)
 
+    # members in insertion order, so those new in a round form a suffix
+    found = sorted(current)
     stages = [as_elements(current)]
-    k = len(alg.carrier)
-    while True:
-        nxt = set(current)
+    new_from = 0
+    while new_from < len(found):
+        count = len(found)
         for sym, arity in alg.signature.symbols:
-            if arity == 0:
-                continue
-            table = alg.table(sym)
-            for args in itertools.product(sorted(current), repeat=arity):
-                nxt.add(table[_row_major_index(args, k)])
-        if nxt == current:
-            break
-        current = nxt
-        stages.append(as_elements(current))
+            tuples = list(semi_naive_tuples(count, new_from, arity))
+            cols = [[found[i] for i in col] for col in zip(*tuples)]
+            for out in apply_columns(alg.table(sym), len(alg.carrier), cols) if tuples else ():
+                if out not in current:
+                    current.add(out)
+                    found.append(out)
+        new_from = count
+        if len(found) > count:
+            stages.append(as_elements(current))
     sub = Subuniverse(parent=alg, members=as_elements(current))
     trace = GenerationTrace(
         generators=tuple(sorted(set(seed), key=alg.index_of.get)),
         stages=tuple(stages),
-        fixpoint=True,
     )
     return GenerationResult(subuniverse=sub, trace=trace)
 
@@ -107,8 +101,6 @@ def directed_union_check(alg: FiniteAlgebra, seed: Iterable[str], max_exhaustive
 def all_subuniverses(alg: FiniteAlgebra, max_size: int = 5) -> tuple[tuple[str, ...], ...]:
     """Every subuniverse, by exhaustive subset enumeration.  Guarded by a
     carrier-size budget since the enumeration is exponential."""
-    from .core import is_subuniverse
-
     if len(alg.carrier) > max_size:
         raise BudgetExceeded(
             f"subuniverse lattice enumeration refused for carrier size {len(alg.carrier)}"
@@ -146,45 +138,42 @@ def clone_n(alg: FiniteAlgebra, n: int, budget: int = 1_000_000) -> CloneFragmen
     """The n-ary clone fragment: closure of the n projections under
     composition with the basic operations, tracked as value tables.
 
-    budget caps the number of composition attempts; on overrun the
-    partial fragment is returned with complete=False."""
+    Each round composes only argument tuples that hold a member new in
+    the round before.  budget caps the number of composition attempts
+    actually made; on overrun the partial fragment is returned with
+    complete=False.  A complete fragment does not depend on the budget."""
     if n < 1:
         raise UalgError("clone arity must be >= 1")
     k = len(alg.carrier)
-    points = list(itertools.product(range(k), repeat=n))
-
+    # insertion-ordered, so the members new in a round form a suffix;
+    # skipping tuples of older members leaves every first witness as is
     found: dict[tuple[int, ...], Term] = {}
-    for i in range(n):
-        found[tuple(p[i] for p in points)] = Var(i)
+    for i, col in enumerate(arg_columns(k, n)):
+        found[tuple(col)] = Var(i)
 
     attempts = 0
     complete = True
-    changed = True
-    while changed and complete:
-        changed = False
+    new_from = 0
+    while new_from < len(found) and complete:
         members = list(found.items())
         for sym, arity in alg.signature.symbols:
             table = alg.table(sym)
             if arity == 0:
-                const = (table[0],) * len(points)
+                const = (table[0],) * k**n
                 if const not in found:
                     found[const] = App(sym, ())
-                    changed = True
                 continue
-            for combo in itertools.product(members, repeat=arity):
+            for combo in semi_naive_tuples(len(members), new_from, arity):
                 attempts += 1
                 if attempts > budget:
                     complete = False
                     break
-                composed = tuple(
-                    table[_row_major_index([c[0][p] for c in combo], k)]
-                    for p in range(len(points))
-                )
+                composed = tuple(apply_columns(table, k, [members[c][0] for c in combo]))
                 if composed not in found:
-                    found[composed] = App(sym, tuple(c[1] for c in combo))
-                    changed = True
+                    found[composed] = App(sym, tuple(members[c][1] for c in combo))
             if not complete:
                 break
+        new_from = len(members)
     members_sorted = tuple(
         CloneMember(table=t, witness=w) for t, w in sorted(found.items())
     )
@@ -193,13 +182,12 @@ def clone_n(alg: FiniteAlgebra, n: int, budget: int = 1_000_000) -> CloneFragmen
 
 @dataclass(frozen=True)
 class FinitenessReport:
-    """Finite-case generation facts: a minimum generating set, the (here
-    trivial) local-finiteness confirmation, and the subuniverse lattice
-    when the carrier is small enough to enumerate it."""
+    """Finite-case generation facts: a minimum generating set and the
+    subuniverse lattice when the carrier is small enough to enumerate it.
+    (Every subset of a finite algebra generates a finite subalgebra.)"""
 
     algebra: str
     minimum_generating_set: tuple[str, ...]
-    every_subset_generates_finite: bool
     subuniverse_lattice: Optional[tuple[tuple[str, ...], ...]]
 
 
@@ -222,6 +210,5 @@ def finiteness_report(alg: FiniteAlgebra, lattice_max_size: int = 5) -> Finitene
     return FinitenessReport(
         algebra=alg.name,
         minimum_generating_set=minimum,
-        every_subset_generates_finite=True,
         subuniverse_lattice=lattice,
     )

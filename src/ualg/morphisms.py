@@ -4,11 +4,13 @@ forward checking, retraction search, and isomorphism testing."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal, Optional, Sequence
 
-from .core import BudgetExceeded, FiniteAlgebra, Subuniverse, UalgError, _row_major_index
+from .core import BudgetExceeded, FiniteAlgebra, Subuniverse, UalgError, UnknownSymbol
+from .core import apply_columns, arg_columns
 
 
 class SignatureMismatch(UalgError):
@@ -91,13 +93,18 @@ class HomWitness:
 def check_homomorphism(m: Morphism) -> tuple[bool, Optional[HomWitness]]:
     """f(o(z...)) = o(f(z)...) for every symbol and argument tuple; on
     failure the first offending application is returned."""
-    _require_shared_signature(m.source, m.target)
-    for sym, arity in m.source.signature.symbols:
-        for args in itertools.product(m.source.carrier, repeat=arity):
-            lhs = m(m.source.apply(sym, *args))
-            rhs = m.target.apply(sym, *(m(a) for a in args))
-            if lhs != rhs:
-                return False, HomWitness(sym, args, lhs, rhs)
+    src, dst = m.source, m.target
+    _require_shared_signature(src, dst)
+    img = [dst.index_of[e] for e in m.images]
+    for sym, arity in src.signature.symbols:
+        cols = arg_columns(len(src.carrier), arity)
+        lhs = [img[v] for v in apply_columns(src.table(sym), len(src.carrier), cols)]
+        mapped = [[img[a] for a in col] for col in cols]
+        rhs = apply_columns(dst.table(sym), len(dst.carrier), mapped)
+        if lhs != rhs:
+            t = next(t for t, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            args = tuple(src.carrier[col[t]] for col in cols)
+            return False, HomWitness(sym, args, dst.carrier[lhs[t]], dst.carrier[rhs[t]])
     return True, None
 
 
@@ -141,18 +148,46 @@ def check_partial_homomorphism(m: PartialMorphism) -> tuple[bool, Optional[HomWi
     return True, None
 
 
-def _constraint_degree_order(alg: FiniteAlgebra) -> list[int]:
-    """Source indices sorted by descending table-cell mentions
-    (fail-first); final results are order-normalized so this heuristic
-    never changes observable output."""
-    degree = [0] * len(alg.carrier)
-    for sym, arity in alg.signature.symbols:
-        table = alg.table(sym)
-        for args in alg.arg_tuples(arity):
-            for a in args:
-                degree[a] += 1
-            degree[table[_row_major_index(args, len(alg.carrier))]] += 1
-    return sorted(range(len(alg.carrier)), key=lambda i: (-degree[i], i))
+def _search_cells(src: FiniteAlgebra, dst: FiniteAlgebra) -> tuple[list[int], list[list]]:
+    """Source elements in fail-first order (most table-cell mentions
+    first; results are sorted later, so the order is never observable),
+    and per source element its cells as (output, target table, args)."""
+    n = len(src.carrier)
+    mentions: Counter = Counter()
+    by_elem: list[list] = [[] for _ in range(n)]
+    for sym, arity in src.signature.symbols:
+        cols = arg_columns(n, arity)
+        outs = apply_columns(src.table(sym), n, cols)
+        for col in cols:
+            mentions.update(col)
+        mentions.update(outs)
+        d_table = dst.table(sym)
+        # a list, not a lazy zip: over a lazy zip the cells kept the
+        # collector busy with full collections (3x slower on Z1200)
+        rows = list(zip(*cols)) if cols else [()]
+        for args, out in zip(rows, outs):
+            cell = (out, d_table, args)
+            for a in {*args, out}:
+                by_elem[a].append(cell)
+    return sorted(range(n), key=lambda i: (-mentions[i], i)), by_elem
+
+
+def _consistent(cells: list, assignment: list[Optional[int]], k: int) -> bool:
+    """Every cell whose arguments and output are all assigned commutes."""
+    for out, d_table, args in cells:
+        v = assignment[out]
+        if v is None:
+            continue
+        idx = 0
+        for a in args:
+            w = assignment[a]
+            if w is None:
+                break
+            idx = idx * k + w
+        else:
+            if d_table[idx] != v:
+                return False
+    return True
 
 
 def _search_homomorphisms(
@@ -168,70 +203,44 @@ def _search_homomorphisms(
     commute.  Returns image index tuples, unsorted."""
     _require_shared_signature(src, dst)
     n = len(src.carrier)
-    order = _constraint_degree_order(src)
+    order, by_elem = _search_cells(src, dst)
     candidates = list(allowed) if allowed is not None else list(range(len(dst.carrier)))
     assignment: list[Optional[int]] = [None] * n
-    if fixed:
-        for i, v in fixed.items():
-            assignment[i] = v
-        order = [i for i in order if i not in fixed]
-
-    cells = []  # (symbol args indices, output index) per operation cell
-    for sym, arity in src.signature.symbols:
-        s_table = src.table(sym)
-        d_table = dst.table(sym)
-        for args in src.arg_tuples(arity):
-            out = s_table[_row_major_index(args, n)]
-            cells.append((args, out, d_table))
-    by_elem: dict[int, list[int]] = {i: [] for i in range(n)}
-    for ci, (args, out, _) in enumerate(cells):
-        for a in set(args) | {out}:
-            by_elem[a].append(ci)
-
+    fixed = fixed or {}
+    for i, v in fixed.items():
+        assignment[i] = v
+    order = [i for i in order if i not in fixed]
     k_dst = len(dst.carrier)
-
-    def cell_ok(ci: int) -> bool:
-        args, out, d_table = cells[ci]
-        imgs = []
-        for a in args:
-            v = assignment[a]
-            if v is None:
-                return True
-            imgs.append(v)
-        vout = assignment[out]
-        if vout is None:
-            return True
-        return d_table[_row_major_index(imgs, k_dst)] == vout
-
     results: list[tuple[int, ...]] = []
     nodes = 0
-
-    def consistent_after(i: int) -> bool:
-        return all(cell_ok(ci) for ci in by_elem[i])
-
     # check cells already decided by fixed assignments
-    if fixed:
-        for i in fixed:
-            if not consistent_after(i):
-                return []
+    if not all(_consistent(by_elem[i], assignment, k_dst) for i in fixed):
+        return []
 
-    def backtrack(pos: int) -> bool:
-        nonlocal nodes
+    # depth-first over `order` with an explicit stack: tried[pos] counts
+    # the candidates already tried for the element at depth pos
+    tried = [0] * len(order)
+    pos = 0
+    while pos >= 0:
         if pos == len(order):
             results.append(tuple(assignment))  # type: ignore[arg-type]
-            return stop_after is not None and len(results) >= stop_after
+            if stop_after is not None and len(results) >= stop_after:
+                break
+            pos -= 1
+            continue
         i = order[pos]
-        for v in candidates:
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded("homomorphism search node budget exceeded")
-            assignment[i] = v
-            if consistent_after(i) and backtrack(pos + 1):
-                return True
+        if tried[pos] == len(candidates):
             assignment[i] = None
-        return False
-
-    backtrack(0)
+            tried[pos] = 0
+            pos -= 1
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceeded("homomorphism search node budget exceeded")
+        assignment[i] = candidates[tried[pos]]
+        tried[pos] += 1
+        if _consistent(by_elem[i], assignment, k_dst):
+            pos += 1
     return results
 
 
@@ -289,10 +298,10 @@ def _element_profile(alg: FiniteAlgebra) -> list[tuple]:
                 profiles[i].append(1 if table[0] == i else 0)
         if arity == 1:
             for i in range(n):
-                seen = []
+                seen = set()
                 cur = i
                 while cur not in seen:
-                    seen.append(cur)
+                    seen.add(cur)
                     cur = table[cur]
                 profiles[i].append(len(seen))
     return [tuple(p) for p in profiles]
@@ -313,58 +322,34 @@ def check_isomorphism(
     n = len(a.carrier)
     allowed_per_elem = [[j for j in range(n) if pb[j] == pa[i]] for i in range(n)]
 
-    # reuse the hom search but with per-element domains and a bijectivity
-    # check layered on via candidate filtering inside the loop
-    order = _constraint_degree_order(a)
+    order, by_elem = _search_cells(a, b)
     assignment: list[Optional[int]] = [None] * n
     used = [False] * n
-    cells = []
-    for sym, arity in a.signature.symbols:
-        s_table = a.table(sym)
-        d_table = b.table(sym)
-        for args in a.arg_tuples(arity):
-            out = s_table[_row_major_index(args, n)]
-            cells.append((args, out, d_table))
-    by_elem: dict[int, list[int]] = {i: [] for i in range(n)}
-    for ci, (args, out, _) in enumerate(cells):
-        for x in set(args) | {out}:
-            by_elem[x].append(ci)
-
-    def cell_ok(ci: int) -> bool:
-        args, out, d_table = cells[ci]
-        imgs = []
-        for x in args:
-            v = assignment[x]
-            if v is None:
-                return True
-            imgs.append(v)
-        vout = assignment[out]
-        if vout is None:
-            return True
-        return d_table[_row_major_index(imgs, n)] == vout
-
     nodes = 0
-
-    def backtrack(pos: int) -> bool:
-        nonlocal nodes
-        if pos == n:
-            return True
+    # depth-first with an explicit stack, as in _search_homomorphisms
+    tried = [0] * n
+    pos = 0
+    while 0 <= pos < n:
         i = order[pos]
-        for v in allowed_per_elem[i]:
-            if used[v]:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded("isomorphism search node budget exceeded")
-            assignment[i] = v
-            used[v] = True
-            if all(cell_ok(ci) for ci in by_elem[i]) and backtrack(pos + 1):
-                return True
+        cands = allowed_per_elem[i]
+        if assignment[i] is not None:  # release the value tried last
+            used[assignment[i]] = False
             assignment[i] = None
-            used[v] = False
-        return False
-
-    if not backtrack(0):
+        while tried[pos] < len(cands) and used[cands[tried[pos]]]:
+            tried[pos] += 1
+        if tried[pos] == len(cands):
+            tried[pos] = 0
+            pos -= 1
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceeded("isomorphism search node budget exceeded")
+        v = assignment[i] = cands[tried[pos]]
+        used[v] = True
+        tried[pos] += 1
+        if _consistent(by_elem[i], assignment, n):
+            pos += 1
+    if pos < 0:
         return None
     iso = Morphism(a, b, tuple(b.carrier[v] for v in assignment))  # type: ignore[arg-type]
     assert check_homomorphism(iso)[0]
@@ -380,7 +365,7 @@ def reduct(alg: FiniteAlgebra, keep: Iterable[str], name: Optional[str] = None) 
     keep_set = set(keep)
     unknown = keep_set - set(alg.signature.names())
     if unknown:
-        raise KeyError(f"unknown symbols in reduct: {sorted(unknown)}")
+        raise UnknownSymbol(f"unknown symbols in reduct: {sorted(unknown)}")
     symbols = tuple(s for s in alg.signature.symbols if s[0] in keep_set)
     tables = tuple(
         tab for (sym, _), tab in zip(alg.signature.symbols, alg.tables) if sym in keep_set

@@ -5,16 +5,11 @@ mediating-morphism synthesis, and universal-property verification."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (
-    BudgetExceeded,
-    FiniteAlgebra,
-    Signature,
-    UalgError,
-    _row_major_index,
-)
+from .core import FiniteAlgebra, Signature, UalgError, apply_columns, arg_columns
 from .morphisms import (
     Morphism,
     check_homomorphism,
@@ -71,17 +66,17 @@ def direct_product(
         fresh = tuple(elements)
     else:
         fresh = tuple(f"{prefix}{i}" for i in range(size))
-    tuple_index = {t: i for i, t in enumerate(tuples)}
+    # element p has the mixed-radix digits (p // strides[fi]) % len(f.carrier)
+    strides = [math.prod(len(f.carrier) for f in factors[fi + 1:]) for fi in range(len(factors))]
+    digits = [[(p // st) % len(f.carrier) for p in range(size)] for f, st in zip(factors, strides)]
 
     tables = []
     for sym, arity in sig.symbols:
-        values = []
-        for args in itertools.product(range(size), repeat=arity):
-            result = tuple(
-                f.apply(sym, *(tuples[a][fi] for a in args))
-                for fi, f in enumerate(factors)
-            )
-            values.append(tuple_index[result])
+        cols = arg_columns(size, arity)
+        values = [0] * size**arity
+        for f, st, d in zip(factors, strides, digits):
+            out = apply_columns(f.table(sym), len(f.carrier), [[d[p] for p in col] for col in cols])
+            values = [v + st * o for v, o in zip(values, out)]
         tables.append(tuple(values))
     prod = FiniteAlgebra(
         name=name or ("x".join(f.name for f in factors) or "Terminal"),

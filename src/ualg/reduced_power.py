@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import BudgetExceeded, FiniteAlgebra, UalgError
+from .core import apply_columns, arg_columns, semi_naive_tuples
 from .morphisms import Morphism, check_homomorphism
 
 
@@ -174,35 +175,45 @@ def adjoin_generate(
     if len(alg.carrier) ** (pre_bound + per_bound) > budget:
         raise BudgetExceeded("generated extension candidate bound exceeds budget")
 
-    members: set[EpSequence] = {std_embed(alg, e) for e in alg.carrier}
-    members |= set(gens)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(members, key=_sort_key)
-        for sym, arity in alg.signature.symbols:
-            if arity == 0:
-                continue
-            for combo in itertools.product(snapshot, repeat=arity):
-                out = pointwise_apply(sym, combo)
-                assert len(out.preperiod) <= pre_bound
-                assert per_bound % len(out.period) == 0
-                if out not in members:
-                    members.add(out)
-                    changed = True
+    # a member is its window: its carrier indices at positions
+    # 0 .. pre_bound+per_bound-1, from which it repeats with period per_bound
+    width = pre_bound + per_bound
+    k = len(alg.carrier)
 
-    ordered = sorted(members, key=_sort_key)
+    def member(window: tuple[int, ...]) -> EpSequence:
+        return canonicalize(alg, [alg.carrier[v] for v in window[:pre_bound]],
+                            [alg.carrier[v] for v in window[pre_bound:]])
+
+    starts = [(i,) * width for i in range(k)]
+    starts += [tuple(alg.index_of[g.at(p)] for p in range(width)) for g in gens]
+    by_window = {w: member(w) for w in starts}
+    windows = list(by_window)  # in insertion order, so new members form a suffix
+    new_from = 0
+    while new_from < len(windows):
+        count = len(windows)
+        for sym, arity in alg.signature.symbols:
+            table = alg.table(sym)
+            for combo in semi_naive_tuples(count, new_from, arity):
+                out = tuple(apply_columns(table, k, [windows[c] for c in combo]))
+                if out not in by_window:
+                    seq = by_window[out] = member(out)
+                    assert len(seq.preperiod) <= pre_bound
+                    assert per_bound % len(seq.period) == 0
+                    windows.append(out)
+        new_from = count
+
+    windows.sort(key=lambda w: _sort_key(by_window[w]))
+    ordered = [by_window[w] for w in windows]
     fresh = tuple(f"{prefix}{i}" for i in range(len(ordered)))
-    index = {m: i for i, m in enumerate(ordered)}
+    row_of = {w: i for i, w in enumerate(windows)}
     tables = []
     for sym, arity in alg.signature.symbols:
-        values = []
-        if arity == 0:
-            values.append(index[std_embed(alg, alg.nullary_value(sym))])
-        else:
-            for combo in itertools.product(ordered, repeat=arity):
-                values.append(index[pointwise_apply(sym, combo)])
-        tables.append(tuple(values))
+        cols = arg_columns(len(windows), arity)
+        per_position = [
+            apply_columns(alg.table(sym), k, [[windows[a][p] for a in col] for col in cols])
+            for p in range(width)
+        ]
+        tables.append(tuple(row_of[w] for w in zip(*per_position)))
     view = FiniteAlgebra(
         name=f"{alg.name}_ext",
         carrier=fresh,

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .core import FiniteAlgebra, UalgError, UnknownElement
+from .core import FiniteAlgebra, UalgError, UnknownElement, apply_columns
 
 
 class TermError(UalgError):
@@ -217,17 +217,9 @@ def _run(program: list[tuple], k: int, start: int, stop: int) -> list[list[int]]
     values: list[list[int]] = []
     for table, arg in program:
         if table is None:  # a variable; arg is its stride
-            col = [(t // arg) % k for t in range(start, stop)]
-        elif not arg:
-            col = [table[0]] * (stop - start)
-        elif len(arg) == 2:
-            col = [table[a * k + b] for a, b in zip(values[arg[0]], values[arg[1]])]
+            values.append([(t // arg) % k for t in range(start, stop)])
         else:
-            idx = values[arg[0]]
-            for j in arg[1:]:
-                idx = [i * k + b for i, b in zip(idx, values[j])]
-            col = [table[i] for i in idx]
-        values.append(col)
+            values.append(apply_columns(table, k, [values[j] for j in arg], stop - start))
     return values
 
 
@@ -268,9 +260,6 @@ class SatisfactionReport:
     @property
     def variety_member(self) -> bool:
         return all(r.holds for _, r in self.results)
-
-    def failures(self) -> list[tuple[Equation, SatisfactionResult]]:
-        return [(eq, r) for eq, r in self.results if not r.holds]
 
 
 def satisfies_all(alg: FiniteAlgebra, eqs: EquationSet, workers: int = 1) -> SatisfactionReport:

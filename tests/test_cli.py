@@ -216,3 +216,45 @@ def test_gen_unknown_element(capsys):
 def test_clone_arity_zero(capsys):
     code, out, err = run(capsys, "clone", BO, "--algebra", "B", "--arity", "0")
     assert_one_line_input_error(code, out, err, "clone arity must be >= 1")
+
+
+def test_retracts_unknown_image_element(capsys):
+    code, out, err = run(capsys, "retracts", BO, "--algebra", "O", "--image", "zz")
+    assert_one_line_input_error(code, out, err, "unknown element: zz")
+    code, out, err = run(capsys, "retracts", BO, "--algebra", "O", "--image", "o1,zz")
+    assert_one_line_input_error(code, out, err, "unknown element: zz")
+
+
+def test_reduct_unknown_symbol(capsys):
+    code, out, err = run(capsys, "reduct", BO, "--algebra", "O", "--keep", "nope")
+    assert_one_line_input_error(code, out, err, "unknown symbols in reduct: ['nope']")
+
+
+def test_eval_repeated_variable(capsys):
+    code, out, err = run(capsys, "eval", BO, "--algebra", "O", "--term", "and(x,x)",
+                         "--bind", "x=o1,x=o2")
+    assert_one_line_input_error(code, out, err, "repeated variable in --bind: x")
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    import ualg.cli as cli
+
+    run(capsys, "check", BO)
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    code, out, _ = run(capsys, "check", BO)
+    assert code == 0 and "O: 4 elements" in out
+
+
+def cycle_algebra(name, m):
+    elements = [f"c{i}" for i in range(m)]
+    succ = [elements[(i + 1) % m] for i in range(m)]
+    return f"algebra {name}\nelements {' '.join(elements)}\nop s/1 = {' '.join(succ)}\nend\n"
+
+
+def test_homs_count_long_cycle(capsys, tmp_path):
+    # the search assigns 1500 source elements one below the other; it
+    # must not recurse once per element
+    path = tmp_path / "cycles.alg"
+    path.write_text(cycle_algebra("C1500", 1500) + "\n" + cycle_algebra("C3", 3))
+    code, out, err = run(capsys, "homs", str(path), "--algebras", "C1500,C3", "--count")
+    assert (code, out, err) == (0, "3\n", "")

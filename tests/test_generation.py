@@ -21,7 +21,6 @@ def test_generate_stages_b4():
     assert result.members == ("o1", "o2", "o3", "o4")
     # stage 0 already holds the nullary values o1, o4
     assert set(result.trace.stages[0]) == {"o1", "o2", "o4"}
-    assert result.trace.fixpoint
     assert result.trace.stages[-1] == result.members
 
 

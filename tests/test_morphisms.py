@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from ualg import (
+    BudgetExceeded,
     Morphism,
     PartialMorphism,
     Subuniverse,
@@ -12,9 +13,11 @@ from ualg import (
     enumerate_homomorphisms,
     find_retractions,
     reduct,
+    validate_algebra,
 )
 from ualg.catalog import boolean_2, boolean_4, cyclic_group, lattice_2, semilattice_2
 from ualg.morphisms import SignatureMismatch, homomorphic_image
+from ualg.products import direct_product
 
 
 def _brute_homs(src, dst):
@@ -170,3 +173,30 @@ def test_compose():
     f = enumerate_homomorphisms(B, O)[0]
     g = Morphism(O, O, ("o1", "o2", "o3", "o4"))
     assert g.compose(f).images == f.images
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # one search level per source element: 1200 levels, past Python's
+    # default limit of 1000 frames
+    import sys
+
+    assert sys.getrecursionlimit() < 1200
+    Z = cyclic_group(1200)
+    first = enumerate_homomorphisms(Z, Z, mode="first")
+    assert first.images == ("g0",) * 1200
+    elements = [f"c{i}" for i in range(1200)]
+    C = validate_algebra("C1200", elements, [("s", 1, elements[1:] + elements[:1])])
+    assert check_isomorphism(C, C).images == tuple(elements)
+
+
+def test_node_counts_are_those_of_the_recursive_search():
+    # the smallest budgets at which the recursive search, which the
+    # explicit stack replaced, finished: same order, same pruning
+    Z12, Z18 = cyclic_group(12), cyclic_group(18)
+    with pytest.raises(BudgetExceeded):
+        enumerate_homomorphisms(Z12, Z18, mode="count", node_budget=2195)
+    assert enumerate_homomorphisms(Z12, Z18, mode="count", node_budget=2196) == 6
+    Z3xZ4 = direct_product([cyclic_group(3), cyclic_group(4)], name="Z3xZ4").product
+    with pytest.raises(BudgetExceeded):
+        check_isomorphism(Z12, Z3xZ4, node_budget=66)
+    assert check_isomorphism(Z12, Z3xZ4, node_budget=67) is not None
