@@ -348,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="search/enumeration budget")
     parser.add_argument("--workers", type=int, default=1,
                         help="accepted and ignored; kept for compatibility")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized representative tests only")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="parse and validate an algebra file")

@@ -53,8 +53,8 @@ def word_str(w: Word) -> str:
 
 @dataclass(frozen=True)
 class ForcedStep:
-    """One propagation step: the split that forces a value for a word,
-    or (forced=None) the contradiction that ends the chain."""
+    """A split w = left·right and the value it forces for r(w), or
+    (forced=None) the contradiction it leads to, told in `note`."""
 
     word: Word
     left: Word
@@ -76,107 +76,28 @@ class RetractionSearchResult:
 def search_bounded_retraction(
     T: TruncatedFreeSemigroup, k: int
 ) -> RetractionSearchResult:
-    """Search for a map r from all words of length <= bound onto words of
-    length <= k, fixing every word of length <= k, with r(uv) = r(u)r(v)
-    whenever both uv and r(u)r(v) stay within the bound.
+    """Decide whether a map r from all words of length <= bound onto words
+    of length <= k exists that fixes every word of length <= k and has
+    r(uv) = r(u)r(v) whenever both uv and r(u)r(v) stay within the bound.
 
-    Propagation in length-then-lexicographic order: each longer word's
-    value is forced through its (prefix, last letter) split, so the
-    search either completes or yields a forced chain ending where the
-    forced image can no longer fit inside the retract."""
+    For k = bound the identity is one.  For k < bound none exists, and
+    the first word w of length k+1 shows it: its prefix u = w[:-1] and
+    last letter v = w[-1:] are fixed, so r(w) = r(u)r(v) = w, which is
+    in bounds but too long for the retract.  The transcript is that one
+    step."""
     if k < 1:
         raise UalgError("image bound must be >= 1")
     if k > T.bound:
         raise UalgError("image bound exceeds the semigroup bound")
-    L = T.bound
-    assignment: dict[Word, Word] = {w: w for w in T.elements if len(w) <= k}
-    transcript: list[ForcedStep] = []
-    if k == L:
-        return RetractionSearchResult(found=dict(assignment), transcript=())
-
-    short_words = [w for w in T.elements if len(w) <= k]
-
-    def consistent(w: Word, value: Word) -> Optional[tuple[Word, Word]]:
-        """Check every split of w and every product involving w against
-        the currently assigned values; returns an offending split."""
-        trial = dict(assignment)
-        trial[w] = value
-        for u, v in _splits(w):
-            ru, rv = trial.get(u), trial.get(v)
-            if ru is None or rv is None:
-                continue
-            if len(ru) + len(rv) <= L and ru + rv != value:
-                return (u, v)
-        # products w*x and x*w that are themselves assigned
-        for x in short_words + [w]:
-            for u, v in ((w, x), (x, w)):
-                if len(u) + len(v) > L:
-                    continue
-                target = trial.get(u + v)
-                ru, rv = trial.get(u), trial.get(v)
-                if target is None or ru is None or rv is None:
-                    continue
-                if len(ru) + len(rv) <= L and ru + rv != target:
-                    return (u, v)
-        return None
-
-    todo = [w for w in T.elements if len(w) > k]
-    candidates = short_words  # the codomain: words of length <= k
-
-    def propagate_and_search(pos: int) -> bool:
-        if pos == len(todo):
-            return True
-        w = todo[pos]
-        # try the forced value first: prefix/last-letter split
-        u, v = w[:-1], w[-1:]
-        ru, rv = assignment.get(u), assignment.get(v)
-        if ru is not None and rv is not None and len(ru) + len(rv) <= L:
-            forced = ru + rv
-            if len(forced) > k:
-                transcript.append(
-                    ForcedStep(
-                        word=w,
-                        left=u,
-                        right=v,
-                        forced=None,
-                        note=(
-                            f"r({word_str(w)}) = r({word_str(u)})r({word_str(v)}) = "
-                            f"{word_str(forced)} has length {len(forced)} > {k}"
-                        ),
-                    )
-                )
-                return False
-            if consistent(w, forced) is not None:
-                transcript.append(
-                    ForcedStep(w, u, v, None, "forced value conflicts with another split")
-                )
-                return False
-            transcript.append(
-                ForcedStep(w, u, v, forced, f"forced r({word_str(w)}) = {word_str(forced)}")
-            )
-            assignment[w] = forced
-            if propagate_and_search(pos + 1):
-                return True
-            del assignment[w]
-            transcript.pop()
-            return False
-        # unforced: branch over the codomain
-        for value in candidates:
-            if consistent(w, value) is None:
-                assignment[w] = value
-                if propagate_and_search(pos + 1):
-                    return True
-                del assignment[w]
-        return False
-
-    if propagate_and_search(0):
-        return RetractionSearchResult(found=dict(assignment), transcript=tuple(transcript))
-    return RetractionSearchResult(found=None, transcript=tuple(transcript))
-
-
-def _splits(w: Word):
-    for i in range(1, len(w)):
-        yield w[:i], w[i:]
+    if k == T.bound:
+        return RetractionSearchResult(found={w: w for w in T.elements}, transcript=())
+    w = (T.generators[0],) * (k + 1)
+    u, v = w[:-1], w[-1:]
+    note = (
+        f"r({word_str(w)}) = r({word_str(u)})r({word_str(v)}) = "
+        f"{word_str(w)} has length {len(w)} > {k}"
+    )
+    return RetractionSearchResult(found=None, transcript=(ForcedStep(w, u, v, None, note),))
 
 
 def check_associativity(T: TruncatedFreeSemigroup) -> bool:

@@ -40,6 +40,7 @@ class GenerationResult:
 def generate(alg: FiniteAlgebra, seed: Iterable[str]) -> GenerationResult:
     """Least subuniverse containing the seed and all nullary values,
     with the full stage trace.  Terminates in at most |carrier| stages."""
+    seed = list(seed)
     current: set[int] = set()
     for e in seed:
         if e not in alg.index_of:

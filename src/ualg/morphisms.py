@@ -193,24 +193,30 @@ def _consistent(cells: list, assignment: list[Optional[int]], k: int) -> bool:
 def _search_homomorphisms(
     src: FiniteAlgebra,
     dst: FiniteAlgebra,
+    candidates: Sequence[Sequence[int]],
     fixed: Optional[dict[int, int]] = None,
-    allowed: Optional[Sequence[int]] = None,
+    injective: bool = False,
     stop_after: Optional[int] = None,
     node_budget: int = 10_000_000,
 ) -> list[tuple[int, ...]]:
     """Backtracking over source elements with forward checking: every
     operation cell whose arguments and output are all assigned must
-    commute.  Returns image index tuples, unsorted."""
+    commute.  Element i takes its image from candidates[i] (fixed
+    elements excepted); with `injective`, images already in use are
+    skipped without counting a node.  Returns image index tuples,
+    unsorted."""
     _require_shared_signature(src, dst)
-    n = len(src.carrier)
+    n, k_dst = len(src.carrier), len(dst.carrier)
     order, by_elem = _search_cells(src, dst)
-    candidates = list(allowed) if allowed is not None else list(range(len(dst.carrier)))
     assignment: list[Optional[int]] = [None] * n
+    # used[v] is set only under `injective`, so the skip below is a no-op
+    # for plain hom searches
+    used = [False] * k_dst
     fixed = fixed or {}
     for i, v in fixed.items():
         assignment[i] = v
+        used[v] = injective
     order = [i for i in order if i not in fixed]
-    k_dst = len(dst.carrier)
     results: list[tuple[int, ...]] = []
     nodes = 0
     # check cells already decided by fixed assignments
@@ -218,7 +224,7 @@ def _search_homomorphisms(
         return []
 
     # depth-first over `order` with an explicit stack: tried[pos] counts
-    # the candidates already tried for the element at depth pos
+    # the candidates already passed over for the element at depth pos
     tried = [0] * len(order)
     pos = 0
     while pos >= 0:
@@ -229,18 +235,29 @@ def _search_homomorphisms(
             pos -= 1
             continue
         i = order[pos]
-        if tried[pos] == len(candidates):
+        cands, cells = candidates[i], by_elem[i]
+        if assignment[i] is not None:  # release the value tried last
+            used[assignment[i]] = False
+        t = tried[pos]
+        while t < len(cands):
+            v = cands[t]
+            t += 1
+            if used[v]:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                what = "isomorphism" if injective else "homomorphism"
+                raise BudgetExceeded(f"{what} search node budget exceeded")
+            assignment[i] = v
+            if _consistent(cells, assignment, k_dst):
+                used[v] = injective
+                tried[pos] = t
+                pos += 1
+                break
+        else:
             assignment[i] = None
             tried[pos] = 0
             pos -= 1
-            continue
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded("homomorphism search node budget exceeded")
-        assignment[i] = candidates[tried[pos]]
-        tried[pos] += 1
-        if _consistent(by_elem[i], assignment, k_dst):
-            pos += 1
     return results
 
 
@@ -253,7 +270,10 @@ def enumerate_homomorphisms(
     """All homomorphisms src -> dst in lexicographic order of the image
     tuple (source carrier order).  mode: "list", "count", or "first"."""
     stop = 1 if mode == "first" else None
-    raw = _search_homomorphisms(src, dst, stop_after=stop, node_budget=node_budget)
+    every = range(len(dst.carrier))
+    raw = _search_homomorphisms(
+        src, dst, [every] * len(src.carrier), stop_after=stop, node_budget=node_budget
+    )
     if mode == "first" and not raw:
         return None
     morphisms = sorted(raw)
@@ -275,7 +295,7 @@ def find_retractions(alg: FiniteAlgebra, image: Subuniverse) -> list[Morphism]:
         raise ValueError("image subuniverse must belong to the algebra")
     fixed = {alg.index_of[e]: alg.index_of[e] for e in image.members}
     allowed = [alg.index_of[e] for e in image.members]
-    raw = _search_homomorphisms(alg, alg, fixed=fixed, allowed=allowed)
+    raw = _search_homomorphisms(alg, alg, [allowed] * len(alg.carrier), fixed=fixed)
     return [
         Morphism(alg, alg, tuple(alg.carrier[v] for v in images)) for images in sorted(raw)
     ]
@@ -320,42 +340,16 @@ def check_isomorphism(
     if sorted(pa) != sorted(pb):
         return None
     n = len(a.carrier)
-    allowed_per_elem = [[j for j in range(n) if pb[j] == pa[i]] for i in range(n)]
-
-    order, by_elem = _search_cells(a, b)
-    assignment: list[Optional[int]] = [None] * n
-    used = [False] * n
-    nodes = 0
-    # depth-first with an explicit stack, as in _search_homomorphisms
-    tried = [0] * n
-    pos = 0
-    while 0 <= pos < n:
-        i = order[pos]
-        cands = allowed_per_elem[i]
-        if assignment[i] is not None:  # release the value tried last
-            used[assignment[i]] = False
-            assignment[i] = None
-        while tried[pos] < len(cands) and used[cands[tried[pos]]]:
-            tried[pos] += 1
-        if tried[pos] == len(cands):
-            tried[pos] = 0
-            pos -= 1
-            continue
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded("isomorphism search node budget exceeded")
-        v = assignment[i] = cands[tried[pos]]
-        used[v] = True
-        tried[pos] += 1
-        if _consistent(by_elem[i], assignment, n):
-            pos += 1
-    if pos < 0:
+    candidates = [[j for j in range(n) if pb[j] == pa[i]] for i in range(n)]
+    found = _search_homomorphisms(
+        a, b, candidates, injective=True, stop_after=1, node_budget=node_budget
+    )
+    if not found:
         return None
-    iso = Morphism(a, b, tuple(b.carrier[v] for v in assignment))  # type: ignore[arg-type]
+    images = found[0]
+    iso = Morphism(a, b, tuple(b.carrier[v] for v in images))
     assert check_homomorphism(iso)[0]
-    inverse = Morphism(b, a, tuple(
-        a.carrier[assignment.index(j)] for j in range(n)
-    ))
+    inverse = Morphism(b, a, tuple(a.carrier[images.index(j)] for j in range(n)))
     assert check_homomorphism(inverse)[0]
     return iso
 

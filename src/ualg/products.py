@@ -170,7 +170,7 @@ def mediating_morphism(
 class ConeVerdict:
     legs: tuple[tuple[str, ...], ...]  # image tuples of each leg
     mediates: bool
-    unique: Optional[bool]  # None when uniqueness was not budget-feasible
+    unique: bool  # exactly one map apex -> product commutes with the projections
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ class UniversalPropertyReport:
 
     @property
     def uniqueness_confirmed(self) -> bool:
-        return all(c.unique is True for c in self.cones)
+        return all(c.unique for c in self.cones)
 
 
 def verify_universal_property(
@@ -215,12 +215,11 @@ def verify_universal_property(
                     )
                 )
                 matches *= fits
-            unique: Optional[bool] = matches == 1
             verdicts.append(
                 ConeVerdict(
                     legs=tuple(leg.images for leg in legs),
                     mediates=result.all_ok,
-                    unique=unique,
+                    unique=matches == 1,
                 )
             )
         reports.append(UniversalPropertyReport(apex=apex.name, cones=tuple(verdicts)))

@@ -1,4 +1,5 @@
 import json
+import shlex
 
 import pytest
 
@@ -258,3 +259,14 @@ def test_homs_count_long_cycle(capsys, tmp_path):
     path.write_text(cycle_algebra("C1500", 1500) + "\n" + cycle_algebra("C3", 3))
     code, out, err = run(capsys, "homs", str(path), "--algebras", "C1500,C3", "--count")
     assert (code, out, err) == (0, "3\n", "")
+
+
+def test_readme_cli_examples_run(capsys, data_dir):
+    # every `ualg` line of the README's CLI block must still parse and run
+    readme = (data_dir.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("ualg ")]
+    assert len(lines) >= 10
+    for line in lines:
+        code, _, err = run(capsys, *shlex.split(line)[1:])
+        assert code in (0, 1), (line, err)

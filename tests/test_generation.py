@@ -24,6 +24,12 @@ def test_generate_stages_b4():
     assert result.trace.stages[-1] == result.members
 
 
+def test_generate_reads_a_one_shot_seed_once():
+    result = generate(boolean_4(), iter(["o2"]))
+    assert result.trace.generators == ("o2",)
+    assert result.members == ("o1", "o2", "o3", "o4")
+
+
 def test_generate_empty_seed_without_nullaries():
     L = lattice_2()
     result = generate(L, [])
