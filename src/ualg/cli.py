@@ -239,7 +239,7 @@ def cmd_retracts(args) -> int:
         image = Subuniverse.of(alg, members)
     except ValueError as exc:
         raise CliError(str(exc))
-    retractions = find_retractions(alg, image)
+    retractions = find_retractions(alg, image, node_budget=args.budget)
     payload = {"retractions": [m.as_dict() for m in retractions]}
     human = "\n".join(
         " ".join(f"{k}->{v}" for k, v in m.as_dict().items()) for m in retractions
@@ -282,7 +282,10 @@ def cmd_product(args) -> int:
 
 def cmd_free_retract(args) -> int:
     gens = [chr(ord("a") + i) for i in range(args.gens)]
-    T = build_truncated(gens, args.bound)
+    # below --bound one word decides, so only the identity map (image
+    # bound = bound) lists the words and is held to the word budget
+    T = build_truncated(gens, args.bound,
+                        budget=100_000 if args.image_bound == args.bound else None)
     result = search_bounded_retraction(T, args.image_bound)
     transcript = [
         {"word": word_str(s.word), "left": word_str(s.left), "right": word_str(s.right),

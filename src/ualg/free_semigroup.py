@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .core import BudgetExceeded, UalgError
@@ -17,7 +18,16 @@ Word = tuple[str, ...]
 class TruncatedFreeSemigroup:
     generators: tuple[str, ...]
     bound: int
-    elements: tuple[Word, ...]  # length-then-lexicographic order
+
+    @cached_property
+    def elements(self) -> tuple[Word, ...]:
+        """Every nonempty word up to the bound, in length-then-lexicographic
+        order; listed on first use."""
+        return tuple(
+            w
+            for length in range(1, self.bound + 1)
+            for w in itertools.product(self.generators, repeat=length)
+        )
 
     def concat(self, u: Word, v: Word) -> Optional[Word]:
         """Partial concatenation: None past the bound."""
@@ -27,24 +37,24 @@ class TruncatedFreeSemigroup:
 
 
 def build_truncated(
-    generators: list[str], bound: int, budget: int = 100_000
+    generators: list[str], bound: int, budget: Optional[int] = 100_000
 ) -> TruncatedFreeSemigroup:
+    """The truncated free semigroup on `generators` up to `bound`.  Its
+    words are listed on first use of `elements`; more than `budget` of
+    them raise BudgetExceeded here, and budget None sets no limit, for a
+    caller that reads no words."""
     if not generators:
         raise UalgError("need at least one generator")
     if len(set(generators)) != len(generators):
         raise UalgError("duplicate generator")
     if bound < 1:
         raise UalgError("bound must be >= 1")
-    g = len(generators)
-    count = sum(g**i for i in range(1, bound + 1))
-    if count > budget:
-        raise BudgetExceeded(f"{count} words exceeds the {budget} element budget")
-    elements = []
-    for length in range(1, bound + 1):
-        elements.extend(itertools.product(generators, repeat=length))
-    return TruncatedFreeSemigroup(
-        generators=tuple(generators), bound=bound, elements=tuple(elements)
-    )
+    if budget is not None:
+        g = len(generators)
+        count = sum(g**i for i in range(1, bound + 1))
+        if count > budget:
+            raise BudgetExceeded(f"{count} words exceeds the {budget} element budget")
+    return TruncatedFreeSemigroup(generators=tuple(generators), bound=bound)
 
 
 def word_str(w: Word) -> str:

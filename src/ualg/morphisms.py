@@ -1,5 +1,5 @@
 """Homomorphism checking, exhaustive enumeration by backtracking with
-forward checking, retraction search, and isomorphism testing."""
+propagation of forced cells, retraction search, and isomorphism testing."""
 
 from __future__ import annotations
 
@@ -148,13 +148,18 @@ def check_partial_homomorphism(m: PartialMorphism) -> tuple[bool, Optional[HomWi
     return True, None
 
 
-def _search_cells(src: FiniteAlgebra, dst: FiniteAlgebra) -> tuple[list[int], list[list]]:
+def _search_cells(
+    src: FiniteAlgebra, dst: FiniteAlgebra
+) -> tuple[list[int], list[list], list[tuple[int, int]]]:
     """Source elements in fail-first order (most table-cell mentions
-    first; results are sorted later, so the order is never observable),
-    and per source element its cells as (output, target table, args)."""
+    first; results are sorted later, so the order is never observable);
+    per source element the cells that take it as an argument, as
+    (output, target table, args); and per nullary cell its output and
+    the target's constant."""
     n = len(src.carrier)
     mentions: Counter = Counter()
-    by_elem: list[list] = [[] for _ in range(n)]
+    by_arg: list[list] = [[] for _ in range(n)]
+    ground: list[tuple[int, int]] = []
     for sym, arity in src.signature.symbols:
         cols = arg_columns(n, arity)
         outs = apply_columns(src.table(sym), n, cols)
@@ -162,32 +167,17 @@ def _search_cells(src: FiniteAlgebra, dst: FiniteAlgebra) -> tuple[list[int], li
             mentions.update(col)
         mentions.update(outs)
         d_table = dst.table(sym)
+        if not cols:
+            ground.append((outs[0], d_table[0]))
+            continue
         # a list, not a lazy zip: over a lazy zip the cells kept the
         # collector busy with full collections (3x slower on Z1200)
-        rows = list(zip(*cols)) if cols else [()]
+        rows = list(zip(*cols))
         for args, out in zip(rows, outs):
             cell = (out, d_table, args)
-            for a in {*args, out}:
-                by_elem[a].append(cell)
-    return sorted(range(n), key=lambda i: (-mentions[i], i)), by_elem
-
-
-def _consistent(cells: list, assignment: list[Optional[int]], k: int) -> bool:
-    """Every cell whose arguments and output are all assigned commutes."""
-    for out, d_table, args in cells:
-        v = assignment[out]
-        if v is None:
-            continue
-        idx = 0
-        for a in args:
-            w = assignment[a]
-            if w is None:
-                break
-            idx = idx * k + w
-        else:
-            if d_table[idx] != v:
-                return False
-    return True
+            for a in set(args):
+                by_arg[a].append(cell)
+    return sorted(range(n), key=lambda i: (-mentions[i], i)), by_arg, ground
 
 
 def _search_homomorphisms(
@@ -199,65 +189,120 @@ def _search_homomorphisms(
     stop_after: Optional[int] = None,
     node_budget: int = 10_000_000,
 ) -> list[tuple[int, ...]]:
-    """Backtracking over source elements with forward checking: every
-    operation cell whose arguments and output are all assigned must
-    commute.  Element i takes its image from candidates[i] (fixed
-    elements excepted); with `injective`, images already in use are
-    skipped without counting a node.  Returns image index tuples,
-    unsorted."""
+    """Backtracking over source elements with propagation of forced
+    cells: once every argument of a table cell is assigned, the image of
+    its output is fixed at the target table's value there, so it is
+    assigned at once and its own cells are followed in turn.  A forced
+    image prunes the branch if the output is mapped elsewhere, if the
+    image is not among the output's candidates, or, with `injective`, if
+    the image is in use.  The search branches, in fail-first order, only
+    on elements still unassigned: element i takes its image from
+    candidates[i], or is fixed at fixed[i], and with `injective` images
+    in use are skipped.  Only branching assignments count as nodes.
+    Returns image index tuples, unsorted, in the depth-first order of the
+    same search without propagation."""
     _require_shared_signature(src, dst)
     n, k_dst = len(src.carrier), len(dst.carrier)
-    order, by_elem = _search_cells(src, dst)
-    assignment: list[Optional[int]] = [None] * n
-    # used[v] is set only under `injective`, so the skip below is a no-op
-    # for plain hom searches
-    used = [False] * k_dst
+    order, by_arg, ground = _search_cells(src, dst)
     fixed = fixed or {}
-    for i, v in fixed.items():
+    # one set per distinct list: a hom search passes one list for every element
+    as_set: dict[int, set[int]] = {}
+    for c in candidates:
+        if id(c) not in as_set:
+            as_set[id(c)] = set(c)
+    allowed = [{fixed[i]} if i in fixed else as_set[id(c)] for i, c in enumerate(candidates)]
+    assignment: list[Optional[int]] = [None] * n
+    # used[v] is set only under `injective`, so the checks on it are
+    # no-ops for plain hom searches
+    used = [False] * k_dst
+    trail: list[int] = []  # elements assigned since the search began, in order
+
+    def settle(i: int, v: int) -> bool:
+        """Map i to v unless that conflicts; a new assignment goes on the
+        trail, which is also the queue of elements to follow."""
+        w = assignment[i]
+        if w is not None:
+            return w == v
+        if used[v] or v not in allowed[i]:
+            return False
         assignment[i] = v
         used[v] = injective
-    order = [i for i in order if i not in fixed]
+        trail.append(i)
+        return True
+
+    def propagate(pairs: Iterable[tuple[int, int]]) -> bool:
+        """Settle each (element, image) pair and every image that it
+        forces; False at the first conflict, with the trail left for
+        `undo`."""
+        head = len(trail)
+        if not all(settle(i, v) for i, v in pairs):
+            return False
+        while head < len(trail):
+            for out, d_table, args in by_arg[trail[head]]:
+                idx = 0
+                for a in args:
+                    w = assignment[a]
+                    if w is None:
+                        break
+                    idx = idx * k_dst + w
+                else:
+                    w = assignment[out]
+                    if w is None:
+                        if not settle(out, d_table[idx]):
+                            return False
+                    elif w != d_table[idx]:
+                        return False
+            head += 1
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            i = trail.pop()
+            used[assignment[i]] = False  # type: ignore[index]
+            assignment[i] = None
+
+    # constants and fixed elements are assigned, and propagated, first
+    if not propagate([*ground, *fixed.items()]):
+        return []
+    order = [i for i in order if assignment[i] is None]
     results: list[tuple[int, ...]] = []
     nodes = 0
-    # check cells already decided by fixed assignments
-    if not all(_consistent(by_elem[i], assignment, k_dst) for i in fixed):
-        return []
-
-    # depth-first over `order` with an explicit stack: tried[pos] counts
-    # the candidates already passed over for the element at depth pos
-    tried = [0] * len(order)
-    pos = 0
-    while pos >= 0:
+    # depth-first over `order` with an explicit stack of branch points:
+    # (position, candidates of its element passed over, trail length
+    # before it); forced elements are skipped
+    frames: list[tuple[int, int, int]] = []
+    pos, t = 0, 0
+    while True:
+        while pos < len(order) and assignment[order[pos]] is not None:
+            pos += 1
         if pos == len(order):
             results.append(tuple(assignment))  # type: ignore[arg-type]
             if stop_after is not None and len(results) >= stop_after:
                 break
-            pos -= 1
-            continue
-        i = order[pos]
-        cands, cells = candidates[i], by_elem[i]
-        if assignment[i] is not None:  # release the value tried last
-            used[assignment[i]] = False
-        t = tried[pos]
-        while t < len(cands):
-            v = cands[t]
-            t += 1
-            if used[v]:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                what = "isomorphism" if injective else "homomorphism"
-                raise BudgetExceeded(f"{what} search node budget exceeded")
-            assignment[i] = v
-            if _consistent(cells, assignment, k_dst):
-                used[v] = injective
-                tried[pos] = t
-                pos += 1
-                break
         else:
-            assignment[i] = None
-            tried[pos] = 0
-            pos -= 1
+            i, mark = order[pos], len(trail)
+            cands = candidates[i]
+            ok = False
+            while not ok and t < len(cands):
+                v = cands[t]
+                t += 1
+                if used[v]:
+                    continue
+                nodes += 1
+                if nodes > node_budget:
+                    what = "isomorphism" if injective else "homomorphism"
+                    raise BudgetExceeded(f"{what} search node budget exceeded")
+                ok = propagate([(i, v)])
+                if not ok:
+                    undo(mark)
+            if ok:
+                frames.append((pos, t, mark))
+                pos, t = pos + 1, 0
+                continue
+        if not frames:
+            break
+        pos, t, mark = frames.pop()
+        undo(mark)
     return results
 
 
@@ -287,7 +332,9 @@ def enumerate_homomorphisms(
     return result
 
 
-def find_retractions(alg: FiniteAlgebra, image: Subuniverse) -> list[Morphism]:
+def find_retractions(
+    alg: FiniteAlgebra, image: Subuniverse, node_budget: int = 10_000_000
+) -> list[Morphism]:
     """All endomorphisms fixing the image pointwise with range exactly the
     image set.  Since candidates are restricted to the image and it is
     fixed pointwise, the range condition holds automatically."""
@@ -295,15 +342,33 @@ def find_retractions(alg: FiniteAlgebra, image: Subuniverse) -> list[Morphism]:
         raise ValueError("image subuniverse must belong to the algebra")
     fixed = {alg.index_of[e]: alg.index_of[e] for e in image.members}
     allowed = [alg.index_of[e] for e in image.members]
-    raw = _search_homomorphisms(alg, alg, [allowed] * len(alg.carrier), fixed=fixed)
+    raw = _search_homomorphisms(
+        alg, alg, [allowed] * len(alg.carrier), fixed=fixed, node_budget=node_budget
+    )
     return [
         Morphism(alg, alg, tuple(alg.carrier[v] for v in images)) for images in sorted(raw)
     ]
 
 
+def _orbit_sizes(step: Sequence[int]) -> list[int]:
+    """Per element x, how many distinct elements x, step[x],
+    step[step[x]], ... run through."""
+    sizes = []
+    for i in range(len(step)):
+        seen = set()
+        cur = i
+        while cur not in seen:
+            seen.add(cur)
+            cur = step[cur]
+        sizes.append(len(seen))
+    return sizes
+
+
 def _element_profile(alg: FiniteAlgebra) -> list[tuple]:
     """Per-element invariants computable from the tables: nullary hits,
-    per-symbol output multiplicity, and unary orbit sizes."""
+    per-symbol output multiplicity, and orbit sizes under each unary
+    operation and under the diagonal x -> f(x, ..., x) of each operation
+    of arity >= 2 (a unary term operation, so isomorphisms keep it)."""
     n = len(alg.carrier)
     profiles: list[list] = [[] for _ in range(n)]
     for sym, arity in sorted(alg.signature.symbols):
@@ -316,14 +381,11 @@ def _element_profile(alg: FiniteAlgebra) -> list[tuple]:
         if arity == 0:
             for i in range(n):
                 profiles[i].append(1 if table[0] == i else 0)
-        if arity == 1:
-            for i in range(n):
-                seen = set()
-                cur = i
-                while cur not in seen:
-                    seen.add(cur)
-                    cur = table[cur]
-                profiles[i].append(len(seen))
+        else:
+            # (x, ..., x) sits at row-major index x * (1 + n + ... + n**(arity-1))
+            diagonal = sum(n**p for p in range(arity))
+            for i, size in enumerate(_orbit_sizes(table[::diagonal])):
+                profiles[i].append(size)
     return [tuple(p) for p in profiles]
 
 
@@ -339,8 +401,10 @@ def check_isomorphism(
     pa, pb = _element_profile(a), _element_profile(b)
     if sorted(pa) != sorted(pb):
         return None
-    n = len(a.carrier)
-    candidates = [[j for j in range(n) if pb[j] == pa[i]] for i in range(n)]
+    classes: dict[tuple, list[int]] = {}
+    for j, profile in enumerate(pb):
+        classes.setdefault(profile, []).append(j)
+    candidates = [classes[profile] for profile in pa]
     found = _search_homomorphisms(
         a, b, candidates, injective=True, stop_after=1, node_budget=node_budget
     )
@@ -349,7 +413,7 @@ def check_isomorphism(
     images = found[0]
     iso = Morphism(a, b, tuple(b.carrier[v] for v in images))
     assert check_homomorphism(iso)[0]
-    inverse = Morphism(b, a, tuple(a.carrier[images.index(j)] for j in range(n)))
+    inverse = Morphism(b, a, tuple(a.carrier[images.index(j)] for j in range(len(images))))
     assert check_homomorphism(inverse)[0]
     return iso
 

@@ -270,3 +270,24 @@ def test_readme_cli_examples_run(capsys, data_dir):
     for line in lines:
         code, _, err = run(capsys, *shlex.split(line)[1:])
         assert code in (0, 1), (line, err)
+
+
+def test_retracts_honours_budget(capsys):
+    args = ("retracts", BO, "--algebra", "O", "--image", "o1,o4")
+    code, out, err = run(capsys, "--budget", "1", *args)
+    assert_one_line_input_error(code, out, err, "homomorphism search node budget exceeded")
+    code, out, _ = run(capsys, "--budget", "2", *args)
+    assert code == 0 and out.count("->") == 8
+
+
+def test_free_retract_below_bound_lists_no_words(capsys):
+    # 265,719 words up to length 11 would exceed the 100,000-word budget,
+    # but below the bound the first word of length 3 decides
+    code, out, err = run(capsys, "free-retract", "--gens", "3", "--bound", "11",
+                         "--image-bound", "2")
+    assert (code, err) == (1, "")
+    assert out == "no bounded retraction\nr(aaa) = r(aa)r(a) = aaa has length 3 > 2\n"
+    code, out, err = run(capsys, "free-retract", "--gens", "3", "--bound", "11",
+                         "--image-bound", "11")
+    assert_one_line_input_error(code, out, err,
+                                "265719 words exceeds the 100000 element budget")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -190,13 +191,39 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
 
 
 def test_node_counts_are_those_of_the_recursive_search():
-    # the smallest budgets at which the recursive search, which the
-    # explicit stack replaced, finished: same order, same pruning
+    # the smallest budgets at which the search finishes; only branching
+    # assignments count.  Z12 -> Z18: the constant forces g0, and each of
+    # the 18 images of g1 forces the rest.  Z12 = Z3xZ4: the first image
+    # of g1 in its profile class forces an isomorphism.
     Z12, Z18 = cyclic_group(12), cyclic_group(18)
     with pytest.raises(BudgetExceeded):
-        enumerate_homomorphisms(Z12, Z18, mode="count", node_budget=2195)
-    assert enumerate_homomorphisms(Z12, Z18, mode="count", node_budget=2196) == 6
+        enumerate_homomorphisms(Z12, Z18, mode="count", node_budget=17)
+    assert enumerate_homomorphisms(Z12, Z18, mode="count", node_budget=18) == 6
     Z3xZ4 = direct_product([cyclic_group(3), cyclic_group(4)], name="Z3xZ4").product
     with pytest.raises(BudgetExceeded):
-        check_isomorphism(Z12, Z3xZ4, node_budget=66)
-    assert check_isomorphism(Z12, Z3xZ4, node_budget=67) is not None
+        check_isomorphism(Z12, Z3xZ4, node_budget=0)
+    assert check_isomorphism(Z12, Z3xZ4, node_budget=1) is not None
+
+
+def shuffled(alg, seed):
+    """alg with its carrier listed in a seeded random order."""
+    carrier = list(alg.carrier)
+    random.Random(seed).shuffle(carrier)
+    ops = [
+        (sym, arity, [alg.apply(sym, *args) for args in itertools.product(carrier, repeat=arity)])
+        for sym, arity in alg.signature.symbols
+    ]
+    return validate_algebra(alg.name, carrier, ops)
+
+
+def test_isomorphism_search_on_shuffled_carriers():
+    # forward checking alone needs more than 2,000 nodes on these carriers
+    Z3xZ20 = direct_product([cyclic_group(3), cyclic_group(20)], name="Z3xZ20").product
+    iso = check_isomorphism(shuffled(Z3xZ20, 0), shuffled(cyclic_group(60), 0),
+                            node_budget=1_000)
+    assert iso is not None and iso.is_injective
+
+
+def test_hom_count_on_shuffled_carriers():
+    Z24, Z36 = shuffled(cyclic_group(24), 0), shuffled(cyclic_group(36), 0)
+    assert enumerate_homomorphisms(Z24, Z36, mode="count", node_budget=1_000) == 12

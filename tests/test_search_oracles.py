@@ -1,14 +1,18 @@
 """The backtracking search and the free-semigroup retraction step against
-exhaustive oracles: every bijection for isomorphism, every map for
+oracles: the search with forward checking only, as it was before forced
+cells were propagated; every bijection for isomorphism, every map for
 retractions, and every map of a truncated free semigroup for
 `search_bounded_retraction`."""
 
 import itertools
 import random
+from collections import Counter
+from typing import Optional
 
 from hypothesis import given, settings, strategies as st
 
 from ualg import (
+    BudgetExceeded,
     Morphism,
     build_truncated,
     check_homomorphism,
@@ -18,7 +22,9 @@ from ualg import (
     search_bounded_retraction,
     validate_algebra,
 )
+from ualg.core import apply_columns, arg_columns
 from ualg.free_semigroup import ForcedStep, word_str
+from ualg.morphisms import _element_profile, _search_homomorphisms
 
 seeds = st.integers(min_value=0, max_value=2**62 - 1)
 
@@ -160,3 +166,169 @@ def test_bounded_retraction_matches_every_map():
                 note = (f"r({word_str(w)}) = r({word_str(w[:-1])})r({gens[0]}) = "
                         f"{word_str(w)} has length {k + 1} > {k}")
                 assert result.transcript == (ForcedStep(w, w[:-1], w[-1:], None, note),)
+
+
+def oracle_cells(src, dst):
+    """Fail-first order and, per source element, every cell that
+    mentions it, as (output, target table, args)."""
+    n = len(src.carrier)
+    mentions: Counter = Counter()
+    by_elem: list[list] = [[] for _ in range(n)]
+    for sym, arity in src.signature.symbols:
+        cols = arg_columns(n, arity)
+        outs = apply_columns(src.table(sym), n, cols)
+        for col in cols:
+            mentions.update(col)
+        mentions.update(outs)
+        d_table = dst.table(sym)
+        rows = list(zip(*cols)) if cols else [()]
+        for args, out in zip(rows, outs):
+            cell = (out, d_table, args)
+            for a in {*args, out}:
+                by_elem[a].append(cell)
+    return sorted(range(n), key=lambda i: (-mentions[i], i)), by_elem
+
+
+def oracle_consistent(cells, assignment, k):
+    """Every cell whose arguments and output are all assigned commutes."""
+    for out, d_table, args in cells:
+        v = assignment[out]
+        if v is None:
+            continue
+        idx = 0
+        for a in args:
+            w = assignment[a]
+            if w is None:
+                break
+            idx = idx * k + w
+        else:
+            if d_table[idx] != v:
+                return False
+    return True
+
+
+def oracle_search(src, dst, candidates, fixed=None, injective=False,
+                  stop_after=None, node_budget=10_000_000):
+    """Backtracking with forward checking only: a cell is checked once
+    its arguments and output are all assigned, and every source element
+    is branched on."""
+    n, k_dst = len(src.carrier), len(dst.carrier)
+    order, by_elem = oracle_cells(src, dst)
+    assignment: list[Optional[int]] = [None] * n
+    used = [False] * k_dst
+    fixed = fixed or {}
+    for i, v in fixed.items():
+        assignment[i] = v
+        used[v] = injective
+    order = [i for i in order if i not in fixed]
+    results = []
+    nodes = 0
+    if not all(oracle_consistent(by_elem[i], assignment, k_dst) for i in fixed):
+        return []
+    tried = [0] * len(order)
+    pos = 0
+    while pos >= 0:
+        if pos == len(order):
+            results.append(tuple(assignment))
+            if stop_after is not None and len(results) >= stop_after:
+                break
+            pos -= 1
+            continue
+        i = order[pos]
+        cands, cells = candidates[i], by_elem[i]
+        if assignment[i] is not None:
+            used[assignment[i]] = False
+        t = tried[pos]
+        while t < len(cands):
+            v = cands[t]
+            t += 1
+            if used[v]:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                what = "isomorphism" if injective else "homomorphism"
+                raise BudgetExceeded(f"{what} search node budget exceeded")
+            assignment[i] = v
+            if oracle_consistent(cells, assignment, k_dst):
+                used[v] = injective
+                tried[pos] = t
+                pos += 1
+                break
+        else:
+            assignment[i] = None
+            tried[pos] = 0
+            pos -= 1
+    return results
+
+
+def smallest_budget(search):
+    """The smallest node budget at which search(budget) finishes: the
+    search is deterministic, so it finishes at every larger budget."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            search(hi)
+            break
+        except BudgetExceeded:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            search(mid)
+            hi = mid
+        except BudgetExceeded:
+            lo = mid
+    return hi
+
+
+def assert_search_matches_oracle(src, dst, candidates, **kw):
+    """Same solutions in the same order, and the search finishes at
+    every budget at which the oracle does."""
+    expected = oracle_search(src, dst, candidates, **kw)
+    assert _search_homomorphisms(src, dst, candidates, **kw) == expected
+    budget = smallest_budget(
+        lambda b: oracle_search(src, dst, candidates, node_budget=b, **kw))
+    assert _search_homomorphisms(src, dst, candidates, node_budget=budget, **kw) == expected
+    return expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_search_matches_forward_checking(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    symbols = [(f"f{i}", rng.randint(0, 2)) for i in range(rng.randint(1, 3))]
+    a = make_algebra("A", [f"a{i}" for i in range(n)], symbols,
+                     random_tables(rng, n, symbols))
+    if rng.random() < 0.3:
+        m = rng.randint(2, 6)
+        b = make_algebra("B", [f"b{i}" for i in range(m)], symbols,
+                         random_tables(rng, m, symbols))
+    else:
+        b = relabelled(rng, a, "B")
+        if rng.random() < 0.5:
+            sym, arity = rng.choice(symbols)
+            tables = [list(b.table(s)) for s, _ in symbols]
+            t = tables[symbols.index((sym, arity))]
+            t[rng.randrange(len(t))] = rng.randrange(n)
+            b = make_algebra("B", b.carrier, symbols, tables)
+    every_a = [range(len(a.carrier))] * len(a.carrier)
+    every_b = [range(len(b.carrier))] * len(a.carrier)
+
+    assert_search_matches_oracle(a, b, every_b)
+
+    image = generate(a, rng.sample(a.carrier, rng.randint(1, n))).subuniverse
+    members = [a.index_of[e] for e in image.members]
+    assert_search_matches_oracle(a, a, [members] * n, fixed={i: i for i in members})
+
+    if len(b.carrier) == n:
+        pa, pb = _element_profile(a), _element_profile(b)
+        classes = [[j for j in range(n) if pb[j] == pa[i]] for i in range(n)]
+        isos = assert_search_matches_oracle(a, b, classes, injective=True)
+        assert_search_matches_oracle(a, b, classes, injective=True, stop_after=1)
+        # the profile classes hold every iso and keep the first one first
+        assert isos == oracle_search(a, b, every_a, injective=True)
+        iso = check_isomorphism(a, b)
+        assert (iso is None) == (not isos)
+        if isos:
+            assert iso.images == tuple(b.carrier[v] for v in isos[0])
