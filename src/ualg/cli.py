@@ -59,6 +59,8 @@ def _read_file(path: str) -> str:
     except OSError as exc:
         raise CliError(f"file not found: {path}" if isinstance(exc, FileNotFoundError)
                        else f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text (byte {exc.start})")
 
 
 def _load_algebras(path: str) -> list[FiniteAlgebra]:
@@ -448,10 +450,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if args.budget < 0:
+            raise CliError(f"--budget must be >= 0, got {args.budget}")
+        return args.func(args)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

@@ -107,16 +107,15 @@ def apply_columns(table: Sequence[int], k: int, columns: Sequence[Sequence[int]]
     return [table[i] for i in idx]
 
 
-def semi_naive_tuples(count: int, new_from: int, arity: int) -> Iterable[tuple[int, ...]]:
-    """Row-major argument tuples over members 0..count-1 that hold a new
-    member (index >= new_from): tuples of older members were all applied
-    in an earlier closure round (semi-naive iteration)."""
-    if arity == 0:
-        return
-    for prefix in itertools.product(range(count), repeat=arity - 1):
-        low = 0 if prefix and max(prefix) >= new_from else new_from
-        for last in range(low, count):
-            yield prefix + (last,)
+def semi_naive_runs(count: int, new_from: int,
+                    arity: int) -> Iterable[tuple[tuple[int, ...], int]]:
+    """Row-major runs of the argument tuples over members 0..count-1 that
+    hold a new member (index >= new_from): (prefix, low) stands for the
+    tuples prefix + (last,) for last in low..count-1.  Tuples of older
+    members were all applied in an earlier closure round (semi-naive
+    iteration).  Nullary operations have no runs."""
+    for prefix in itertools.product(range(count), repeat=arity - 1) if arity else ():
+        yield prefix, 0 if prefix and max(prefix) >= new_from else new_from
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,13 @@ def build_truncated(
     if bound < 1:
         raise UalgError("bound must be >= 1")
     if budget is not None:
-        g = len(generators)
-        count = sum(g**i for i in range(1, bound + 1))
-        if count > budget:
-            raise BudgetExceeded(f"{count} words exceeds the {budget} element budget")
+        # stop once past the budget: a large bound's count is too big to print
+        count = 0
+        for length in range(1, bound + 1):
+            count += len(generators) ** length
+            if count > budget:
+                words = count if length == bound else f"more than {budget}"
+                raise BudgetExceeded(f"{words} words exceeds the {budget} element budget")
     return TruncatedFreeSemigroup(generators=tuple(generators), bound=bound)
 
 

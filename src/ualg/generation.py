@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import BudgetExceeded, FiniteAlgebra, Subuniverse, UalgError, UnknownElement
-from .core import apply_columns, arg_columns, is_subuniverse, semi_naive_tuples
+from .core import apply_columns, arg_columns, is_subuniverse, semi_naive_runs
 from .terms import App, Term, Var
 
 
@@ -59,12 +59,13 @@ def generate(alg: FiniteAlgebra, seed: Iterable[str]) -> GenerationResult:
     while new_from < len(found):
         count = len(found)
         for sym, arity in alg.signature.symbols:
-            tuples = list(semi_naive_tuples(count, new_from, arity))
-            cols = [[found[i] for i in col] for col in zip(*tuples)]
-            for out in apply_columns(alg.table(sym), len(alg.carrier), cols) if tuples else ():
-                if out not in current:
-                    current.add(out)
-                    found.append(out)
+            table = alg.table(sym)
+            for prefix, low in semi_naive_runs(count, new_from, arity):
+                cols = [[found[i]] * (count - low) for i in prefix] + [found[low:count]]
+                for out in apply_columns(table, len(alg.carrier), cols):
+                    if out not in current:
+                        current.add(out)
+                        found.append(out)
         new_from = count
         if len(found) > count:
             stages.append(as_elements(current))
@@ -140,9 +141,12 @@ def clone_n(alg: FiniteAlgebra, n: int, budget: int = 1_000_000) -> CloneFragmen
     composition with the basic operations, tracked as value tables.
 
     Each round composes only argument tuples that hold a member new in
-    the round before.  budget caps the number of composition attempts
-    actually made; on overrun the partial fragment is returned with
-    complete=False.  A complete fragment does not depend on the budget."""
+    the round before, one row-major run of last arguments at a time, and
+    skips f(b, a) after f(a, b) for a commutative binary f.  budget caps
+    the composition attempts actually made (the skip makes fewer, so a
+    budget-cut fragment can gain members); on overrun the partial
+    fragment is returned with complete=False.  A complete fragment does
+    not depend on the budget."""
     if n < 1:
         raise UalgError("clone arity must be >= 1")
     k = len(alg.carrier)
@@ -152,29 +156,42 @@ def clone_n(alg: FiniteAlgebra, n: int, budget: int = 1_000_000) -> CloneFragmen
     for i, col in enumerate(arg_columns(k, n)):
         found[tuple(col)] = Var(i)
 
+    size = k**n
     attempts = 0
     complete = True
     new_from = 0
     while new_from < len(found) and complete:
-        members = list(found.items())
+        tables, terms = list(found), list(found.values())
+        count = len(tables)
+        flat = [v for t in tables for v in t]
         for sym, arity in alg.signature.symbols:
             table = alg.table(sym)
             if arity == 0:
-                const = (table[0],) * k**n
+                const = (table[0],) * size
                 if const not in found:
                     found[const] = App(sym, ())
                 continue
-            for combo in semi_naive_tuples(len(members), new_from, arity):
-                attempts += 1
-                if attempts > budget:
+            # f(b, a) = f(a, b) for commutative f, and (a, b) comes first
+            commutative = arity == 2 and all(
+                table[a * k + b] == table[b * k + a] for a in range(k) for b in range(a))
+            for prefix, low in semi_naive_runs(count, new_from, arity):
+                if commutative:
+                    low = max(low, prefix[0])
+                # the run is cut at the exact attempt the budget allows
+                length = min(count - low, budget - attempts)
+                attempts += length
+                cols = [tables[c] * length for c in prefix]
+                cols.append(flat[low * size:(low + length) * size])
+                outs = apply_columns(table, k, cols)
+                for last, composed in enumerate(zip(*[iter(outs)] * size), low):
+                    if composed not in found:
+                        found[composed] = App(sym, tuple(terms[c] for c in prefix + (last,)))
+                if length < count - low:
                     complete = False
                     break
-                composed = tuple(apply_columns(table, k, [members[c][0] for c in combo]))
-                if composed not in found:
-                    found[composed] = App(sym, tuple(members[c][1] for c in combo))
             if not complete:
                 break
-        new_from = len(members)
+        new_from = count
     members_sorted = tuple(
         CloneMember(table=t, witness=w) for t, w in sorted(found.items())
     )

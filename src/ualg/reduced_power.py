@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import BudgetExceeded, FiniteAlgebra, UalgError
-from .core import apply_columns, arg_columns, semi_naive_tuples
+from .core import apply_columns, arg_columns, semi_naive_runs
 from .morphisms import Morphism, check_homomorphism
 
 
@@ -191,15 +191,18 @@ def adjoin_generate(
     new_from = 0
     while new_from < len(windows):
         count = len(windows)
+        flat = [v for w in windows for v in w]
         for sym, arity in alg.signature.symbols:
             table = alg.table(sym)
-            for combo in semi_naive_tuples(count, new_from, arity):
-                out = tuple(apply_columns(table, k, [windows[c] for c in combo]))
-                if out not in by_window:
-                    seq = by_window[out] = member(out)
-                    assert len(seq.preperiod) <= pre_bound
-                    assert per_bound % len(seq.period) == 0
-                    windows.append(out)
+            for head, low in semi_naive_runs(count, new_from, arity):
+                cols = [windows[c] * (count - low) for c in head] + [flat[low * width:]]
+                outs = apply_columns(table, k, cols)
+                for out in zip(*[iter(outs)] * width):
+                    if out not in by_window:
+                        seq = by_window[out] = member(out)
+                        assert len(seq.preperiod) <= pre_bound
+                        assert per_bound % len(seq.period) == 0
+                        windows.append(out)
         new_from = count
 
     windows.sort(key=lambda w: _sort_key(by_window[w]))

@@ -291,3 +291,26 @@ def test_free_retract_below_bound_lists_no_words(capsys):
                          "--image-bound", "11")
     assert_one_line_input_error(code, out, err,
                                 "265719 words exceeds the 100000 element budget")
+
+
+def test_free_retract_huge_bound(capsys):
+    # the word count up to length 20000 has more digits than Python turns
+    # into a string; the count stops once it passes the budget
+    code, out, err = run(capsys, "free-retract", "--gens", "2", "--bound", "20000",
+                         "--image-bound", "20000")
+    assert_one_line_input_error(code, out, err,
+                                "more than 100000 words exceeds the 100000 element budget")
+
+
+def test_negative_budget(capsys):
+    code, out, err = run(capsys, "--budget", "-5", "homs", BO, "--algebras", "B,O")
+    assert_one_line_input_error(code, out, err, "--budget must be >= 0, got -5")
+
+
+def test_non_utf8_file(capsys, tmp_path):
+    bad = tmp_path / "bad.alg"
+    bad.write_bytes(b"\xff\xfe")
+    for argv in (("check", str(bad)), ("gen", str(bad), "--elements", "a"),
+                 ("satisfies", BO, str(bad), "--algebra", "O")):
+        code, out, err = run(capsys, *argv)
+        assert_one_line_input_error(code, out, err, f"{bad}: not UTF-8 text (byte 0)")

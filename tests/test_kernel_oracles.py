@@ -1,7 +1,9 @@
 """Table kernel and semi-naive closures against slow oracles: the naive
-clone loop, string-level product tables, the `pointwise_apply` closure
-of extensions and the string-level homomorphism check."""
+clone loop, the per-tuple semi-naive loops of `clone_n`, `generate` and
+`adjoin_generate`, string-level product tables, the `pointwise_apply`
+closure of extensions and the string-level homomorphism check."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -9,7 +11,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from ualg import Morphism, check_homomorphism, clone_n, direct_product, validate_algebra
-from ualg.generation import CloneFragment, CloneMember
+from ualg.core import Subuniverse, apply_columns, arg_columns, semi_naive_runs
+from ualg.generation import CloneFragment, CloneMember, GenerationResult, GenerationTrace, generate
 from ualg.morphisms import HomWitness
 from ualg.reduced_power import _sort_key, adjoin_generate, canonicalize, pointwise_apply, std_embed
 from ualg.terms import App, Var
@@ -72,6 +75,104 @@ def oracle_clone_n(alg, n, budget):
                 break
     members = tuple(CloneMember(table=t, witness=w) for t, w in sorted(found.items()))
     return CloneFragment(algebra=alg.name, arity=n, members=members, complete=complete)
+
+
+def new_tuples(count, new_from, arity):
+    """Row-major argument tuples over members 0..count-1 that hold a
+    member new in the last round, one at a time."""
+    return (t for t in itertools.product(range(count), repeat=arity) if max(t) >= new_from)
+
+
+def commutative(alg):
+    k = len(alg.carrier)
+    return any(arity == 2 and all(t[a * k + b] == t[b * k + a] for a in range(k) for b in range(k))
+               for (_, arity), t in zip(alg.signature.symbols, alg.tables))
+
+
+def symmetrised(alg, rng):
+    """alg with each binary table made commutative with probability 1/2."""
+    k = len(alg.carrier)
+    tables = tuple(
+        tuple(t[min(a, b) * k + max(a, b)] for a in range(k) for b in range(k))
+        if arity == 2 and rng.random() < 0.5 else t
+        for (_, arity), t in zip(alg.signature.symbols, alg.tables)
+    )
+    return dataclasses.replace(alg, tables=tables)
+
+
+def tuple_clone_n(alg, n, budget):
+    """The per-tuple loop that `clone_n` replaced: semi-naive rounds, one
+    kernel call and one attempt per argument tuple; returns the fragment
+    and the attempts made."""
+    k = len(alg.carrier)
+    found = {tuple(col): Var(i) for i, col in enumerate(arg_columns(k, n))}
+    attempts, complete, new_from = 0, True, 0
+    while new_from < len(found) and complete:
+        members = list(found.items())
+        for sym, arity in alg.signature.symbols:
+            table = alg.table(sym)
+            if arity == 0:
+                const = (table[0],) * k**n
+                if const not in found:
+                    found[const] = App(sym, ())
+                continue
+            for combo in new_tuples(len(members), new_from, arity):
+                if attempts == budget:
+                    complete = False
+                    break
+                attempts += 1
+                composed = tuple(apply_columns(table, k, [members[c][0] for c in combo]))
+                if composed not in found:
+                    found[composed] = App(sym, tuple(members[c][1] for c in combo))
+            if not complete:
+                break
+        new_from = len(members)
+    members = tuple(CloneMember(table=t, witness=w) for t, w in sorted(found.items()))
+    return CloneFragment(alg.name, n, members, complete), attempts
+
+
+def tuple_generate(alg, seed):
+    """Semi-naive rounds applied one argument tuple at a time."""
+    current = {alg.index_of[e] for e in seed}
+    current |= {alg.table(s)[0] for s in alg.signature.nullary_names()}
+    found, new_from = sorted(current), 0
+    stages = [set(current)]
+    while new_from < len(found):
+        count = len(found)
+        for sym, arity in alg.signature.symbols:
+            for combo in new_tuples(count, new_from, arity) if arity else ():
+                args = [found[c] for c in combo]
+                out = alg.table(sym)[row_major_index(args, len(alg.carrier))]
+                if out not in current:
+                    current.add(out)
+                    found.append(out)
+        new_from = count
+        if len(found) > count:
+            stages.append(set(current))
+
+    def as_elements(idx):
+        return tuple(e for i, e in enumerate(alg.carrier) if i in idx)
+
+    return GenerationResult(
+        Subuniverse(alg, as_elements(current)),
+        GenerationTrace(as_elements({alg.index_of[e] for e in seed}),
+                        tuple(as_elements(s) for s in stages)),
+    )
+
+
+def tuple_adjoin_members(alg, gens):
+    """Semi-naive rounds of `pointwise_apply`, one argument tuple at a
+    time, over members in insertion order; sorted as `adjoin_generate`
+    lists them."""
+    members = dict.fromkeys([std_embed(alg, e) for e in alg.carrier] + list(gens))
+    new_from = 0
+    while new_from < len(members):
+        count, listed = len(members), list(members)
+        for sym, arity in alg.signature.symbols:
+            for combo in new_tuples(count, new_from, arity) if arity else ():
+                members.setdefault(pointwise_apply(sym, [listed[c] for c in combo]))
+        new_from = count
+    return tuple(sorted(members, key=_sort_key))
 
 
 def oracle_product_tables(factors):
@@ -138,6 +239,48 @@ def test_clone_matches_naive_rounds(seed):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 3))
+def test_semi_naive_runs_list_the_new_tuples(count, new_from, arity):
+    new_from = min(new_from, count - 1)
+    expanded = [prefix + (last,) for prefix, low in semi_naive_runs(count, new_from, arity)
+                for last in range(low, count)]
+    assert expanded == (list(new_tuples(count, new_from, arity)) if arity else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_clone_runs_match_tuple_loop(seed):
+    # half of the binary tables are made commutative, so that clone_n
+    # skips f(b, a) after f(a, b); complete fragments must not change
+    rng = random.Random(seed)
+    (alg,) = random_family(rng, 1)
+    alg = symmetrised(alg, rng)
+    n = rng.randint(1, 2)
+    budget = rng.choice([200, 1500])
+    fast = clone_n(alg, n, budget=budget)
+    slow, attempts = tuple_clone_n(alg, n, budget)
+    if slow.complete:
+        assert fast == slow
+    assert fast.complete or not slow.complete
+    if not commutative(alg):
+        # without the skip the budget cuts at the same attempt: a random
+        # small range, and the last attempts of a complete fragment
+        low = rng.randint(0, min(attempts, 300))
+        last = range(max(0, attempts - 2), attempts + 2) if slow.complete else ()
+        for b in sorted({*range(low, low + 4), *last}):
+            assert clone_n(alg, n, budget=b) == tuple_clone_n(alg, n, b)[0], b
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_generate_runs_match_tuple_loop(seed):
+    rng = random.Random(seed)
+    (alg,) = random_family(rng, 1)
+    gens = rng.sample(alg.carrier, rng.randint(0, 2))
+    assert generate(alg, gens) == tuple_generate(alg, gens)
+
+
+@settings(max_examples=100, deadline=None)
 @given(seeds)
 def test_direct_product_matches_string_tables(seed):
     rng = random.Random(seed)
@@ -168,7 +311,7 @@ def test_adjoin_matches_pointwise_closure(seed):
     ]
     ext = adjoin_generate(alg, gens)
     members, tables = oracle_adjoin(alg, gens)
-    assert ext.members == members
+    assert ext.members == members == tuple_adjoin_members(alg, gens)
     assert ext.algebra.tables == tables
     assert ext.labels == tuple(zip(ext.algebra.carrier, members))
 
