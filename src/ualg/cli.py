@@ -283,6 +283,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_free_retract(args) -> int:
+    if args.gens > 26:
+        raise CliError(f"--gens must be at most 26 (generators a..z), got {args.gens}")
     gens = [chr(ord("a") + i) for i in range(args.gens)]
     # below --bound one word decides, so only the identity map (image
     # bound = bound) lists the words and is held to the word budget

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -222,6 +222,93 @@ def validate_algebra(
     return FiniteAlgebra(name=name, carrier=tuple(elements), signature=sig, tables=tuple(tables))
 
 
+def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optional[int] = None
+          ) -> tuple[list[tuple[int, ...]], list, list[int], bool]:
+    """Closure of distinct equal-width start vectors of carrier indices
+    under the basic operations applied pointwise.
+
+    Members are the starts, then each new vector in the order found, so
+    those new in a round form a suffix.  Each round composes only
+    argument tuples that hold a member new in the round before, one
+    row-major run of last arguments per kernel call, and skips f(b, a)
+    after f(a, b) for a commutative binary f, which changes no member
+    and no order.  Returns (members, derivations, rounds, complete):
+    derivations[i] is (symbol, argument member indices) for the
+    application that found member i, or None for a start; rounds holds
+    the member count after the starts and after each round that added
+    members.  budget caps the composition attempts (a nullary symbol
+    makes none); on overrun the closure stops at the exact attempt the
+    budget allows and complete is False."""
+    k = len(alg.carrier)
+    width = len(starts[0]) if starts else 0
+    members = list(starts)
+    seen = set(members)
+    derivations: list = [None] * len(members)
+    flat = [v for m in members for v in m]
+    rounds = [len(members)]
+    commutative = [arity == 2 and all(t[a * k:(a + 1) * k] == t[a::k] for a in range(k))
+                   for (_, arity), t in zip(alg.signature.symbols, alg.tables)]
+    limit = float("inf") if budget is None else budget
+    attempts, new_from, complete = 0, 0, True
+    while complete and new_from < len(members):
+        count = len(members)
+        for (sym, arity), table, skip in zip(alg.signature.symbols, alg.tables, commutative):
+            if arity == 0:
+                const = (table[0],) * width
+                if const not in seen:
+                    seen.add(const)
+                    members.append(const)
+                    flat.extend(const)
+                    derivations.append((sym, ()))
+                continue
+            for prefix, low in semi_naive_runs(count, new_from, arity):
+                if skip:
+                    low = max(low, prefix[0])
+                length = min(count - low, limit - attempts)
+                attempts += length
+                cols = [members[c] * length for c in prefix]
+                cols.append(flat[low * width:(low + length) * width])
+                outs = apply_columns(table, k, cols)
+                for last, out in enumerate(zip(*[iter(outs)] * width), low):
+                    if out not in seen:
+                        seen.add(out)
+                        members.append(out)
+                        flat.extend(out)
+                        derivations.append((sym, prefix + (last,)))
+                if length < count - low:
+                    complete = False
+                    break
+            if not complete:
+                break
+        new_from = count
+        if len(members) > count:
+            rounds.append(len(members))
+    return members, derivations, rounds, complete
+
+
+def induced_tables(alg: FiniteAlgebra, members: Sequence[tuple[int, ...]]
+                   ) -> tuple[tuple[int, ...], ...]:
+    """The operation tables, over positions in `members`, of a non-empty
+    list of equal-width vectors of carrier indices that is closed under
+    the basic operations applied pointwise; one kernel call per
+    row-major run of last arguments."""
+    k = len(alg.carrier)
+    width = len(members[0])
+    position = {m: i for i, m in enumerate(members)}
+    flat = [v for m in members for v in m]
+    tables = []
+    for (_, arity), table in zip(alg.signature.symbols, alg.tables):
+        if arity == 0:
+            tables.append((position[(table[0],) * width],))
+            continue
+        cells: list[int] = []
+        for prefix, _ in semi_naive_runs(len(members), 0, arity):
+            outs = apply_columns(table, k, [members[c] * len(members) for c in prefix] + [flat])
+            cells.extend(position[out] for out in zip(*[iter(outs)] * width))
+        tables.append(tuple(cells))
+    return tuple(tables)
+
+
 @dataclass(frozen=True)
 class ClosureWitness:
     """An operation application that escapes a candidate subuniverse."""
@@ -274,17 +361,9 @@ class Subuniverse:
         """The induced algebra on the members (empty members is an error)."""
         if not self.members:
             raise ValueError("empty subuniverse is not an algebra")
-        parent = self.parent
-        sub = [parent.index_of[e] for e in self.members]
-        sub_index = {v: i for i, v in enumerate(sub)}
-        tables = []
-        for sym, arity in parent.signature.symbols:
-            cols = [[sub[i] for i in col] for col in arg_columns(len(sub), arity)]
-            out = apply_columns(parent.table(sym), len(parent.carrier), cols)
-            tables.append(tuple(sub_index[v] for v in out))
         return FiniteAlgebra(
             name=name or f"{self.parent.name}_sub",
             carrier=self.members,
             signature=self.parent.signature,
-            tables=tuple(tables),
+            tables=induced_tables(self.parent, [(self.parent.index_of[e],) for e in self.members]),
         )

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import BudgetExceeded, FiniteAlgebra, Subuniverse, UalgError, UnknownElement
-from .core import apply_columns, arg_columns, is_subuniverse, semi_naive_runs
+from .core import arg_columns, close, is_subuniverse
 from .terms import App, Term, Var
 
 
@@ -41,40 +41,23 @@ def generate(alg: FiniteAlgebra, seed: Iterable[str]) -> GenerationResult:
     """Least subuniverse containing the seed and all nullary values,
     with the full stage trace.  Terminates in at most |carrier| stages."""
     seed = list(seed)
-    current: set[int] = set()
     for e in seed:
         if e not in alg.index_of:
             raise UnknownElement(f"unknown seed element: {e}")
-        current.add(alg.index_of[e])
-    for sym in alg.signature.nullary_names():
-        current.add(alg.table(sym)[0])
+    starts = {alg.index_of[e] for e in seed}
+    starts.update(alg.table(sym)[0] for sym in alg.signature.nullary_names())
+    members, _, rounds, _ = close(alg, [(i,) for i in sorted(starts)])
 
-    def as_elements(idx: set[int]) -> tuple[str, ...]:
+    def stage(count: int) -> tuple[str, ...]:
+        idx = {m[0] for m in members[:count]}
         return tuple(e for i, e in enumerate(alg.carrier) if i in idx)
 
-    # members in insertion order, so those new in a round form a suffix
-    found = sorted(current)
-    stages = [as_elements(current)]
-    new_from = 0
-    while new_from < len(found):
-        count = len(found)
-        for sym, arity in alg.signature.symbols:
-            table = alg.table(sym)
-            for prefix, low in semi_naive_runs(count, new_from, arity):
-                cols = [[found[i]] * (count - low) for i in prefix] + [found[low:count]]
-                for out in apply_columns(table, len(alg.carrier), cols):
-                    if out not in current:
-                        current.add(out)
-                        found.append(out)
-        new_from = count
-        if len(found) > count:
-            stages.append(as_elements(current))
-    sub = Subuniverse(parent=alg, members=as_elements(current))
+    stages = tuple(stage(count) for count in rounds)
     trace = GenerationTrace(
         generators=tuple(sorted(set(seed), key=alg.index_of.get)),
-        stages=tuple(stages),
+        stages=stages,
     )
-    return GenerationResult(subuniverse=sub, trace=trace)
+    return GenerationResult(subuniverse=Subuniverse(parent=alg, members=stages[-1]), trace=trace)
 
 
 def directed_union_check(alg: FiniteAlgebra, seed: Iterable[str], max_exhaustive: int = 12) -> bool:
@@ -138,64 +121,22 @@ class CloneFragment:
 
 def clone_n(alg: FiniteAlgebra, n: int, budget: int = 1_000_000) -> CloneFragment:
     """The n-ary clone fragment: closure of the n projections under
-    composition with the basic operations, tracked as value tables.
-
-    Each round composes only argument tuples that hold a member new in
-    the round before, one row-major run of last arguments at a time, and
-    skips f(b, a) after f(a, b) for a commutative binary f.  budget caps
-    the composition attempts actually made (the skip makes fewer, so a
-    budget-cut fragment can gain members); on overrun the partial
-    fragment is returned with complete=False.  A complete fragment does
-    not depend on the budget."""
+    composition with the basic operations, tracked as value tables and
+    closed by `core.close`.  budget caps the composition attempts
+    actually made (the commutative skip makes fewer, so a budget-cut
+    fragment can gain members); on overrun the partial fragment is
+    returned with complete=False.  A complete fragment does not depend
+    on the budget."""
     if n < 1:
         raise UalgError("clone arity must be >= 1")
-    k = len(alg.carrier)
-    # insertion-ordered, so the members new in a round form a suffix;
-    # skipping tuples of older members leaves every first witness as is
-    found: dict[tuple[int, ...], Term] = {}
-    for i, col in enumerate(arg_columns(k, n)):
-        found[tuple(col)] = Var(i)
-
-    size = k**n
-    attempts = 0
-    complete = True
-    new_from = 0
-    while new_from < len(found) and complete:
-        tables, terms = list(found), list(found.values())
-        count = len(tables)
-        flat = [v for t in tables for v in t]
-        for sym, arity in alg.signature.symbols:
-            table = alg.table(sym)
-            if arity == 0:
-                const = (table[0],) * size
-                if const not in found:
-                    found[const] = App(sym, ())
-                continue
-            # f(b, a) = f(a, b) for commutative f, and (a, b) comes first
-            commutative = arity == 2 and all(
-                table[a * k + b] == table[b * k + a] for a in range(k) for b in range(a))
-            for prefix, low in semi_naive_runs(count, new_from, arity):
-                if commutative:
-                    low = max(low, prefix[0])
-                # the run is cut at the exact attempt the budget allows
-                length = min(count - low, budget - attempts)
-                attempts += length
-                cols = [tables[c] * length for c in prefix]
-                cols.append(flat[low * size:(low + length) * size])
-                outs = apply_columns(table, k, cols)
-                for last, composed in enumerate(zip(*[iter(outs)] * size), low):
-                    if composed not in found:
-                        found[composed] = App(sym, tuple(terms[c] for c in prefix + (last,)))
-                if length < count - low:
-                    complete = False
-                    break
-            if not complete:
-                break
-        new_from = count
-    members_sorted = tuple(
-        CloneMember(table=t, witness=w) for t, w in sorted(found.items())
-    )
-    return CloneFragment(algebra=alg.name, arity=n, members=members_sorted, complete=complete)
+    # a repeated projection column (one element) keeps its last variable
+    projections = {tuple(col): Var(i) for i, col in enumerate(arg_columns(len(alg.carrier), n))}
+    tables, derivations, _, complete = close(alg, list(projections), budget)
+    terms = list(projections.values())
+    for sym, args in derivations[len(terms):]:
+        terms.append(App(sym, tuple(terms[a] for a in args)))
+    members = tuple(CloneMember(table=t, witness=w) for t, w in sorted(zip(tables, terms)))
+    return CloneFragment(algebra=alg.name, arity=n, members=members, complete=complete)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal, Optional, Sequence
 
-from .core import BudgetExceeded, FiniteAlgebra, Subuniverse, UalgError, UnknownSymbol
-from .core import apply_columns, arg_columns
+from .core import IDENT_RE, BudgetExceeded, FiniteAlgebra, Signature, Subuniverse, UalgError
+from .core import UnknownSymbol, apply_columns, arg_columns
 
 
 class SignatureMismatch(UalgError):
@@ -151,21 +151,19 @@ def check_partial_homomorphism(m: PartialMorphism) -> tuple[bool, Optional[HomWi
 def _search_cells(
     src: FiniteAlgebra, dst: FiniteAlgebra
 ) -> tuple[list[int], list[list], list[tuple[int, int]]]:
-    """Source elements in fail-first order (most table-cell mentions
-    first; results are sorted later, so the order is never observable);
-    per source element the cells that take it as an argument, as
-    (output, target table, args); and per nullary cell its output and
-    the target's constant."""
+    """Source elements in fail-first order (most table outputs first, as
+    every element fills each argument position equally often; results
+    are sorted later, so the order is never observable); per source
+    element the cells that take it as an argument, as (output, target
+    table, args); and per nullary cell its output and the target's
+    constant."""
     n = len(src.carrier)
-    mentions: Counter = Counter()
+    hits = Counter(v for t in src.tables for v in t)
     by_arg: list[list] = [[] for _ in range(n)]
     ground: list[tuple[int, int]] = []
     for sym, arity in src.signature.symbols:
         cols = arg_columns(n, arity)
-        outs = apply_columns(src.table(sym), n, cols)
-        for col in cols:
-            mentions.update(col)
-        mentions.update(outs)
+        outs = src.table(sym)
         d_table = dst.table(sym)
         if not cols:
             ground.append((outs[0], d_table[0]))
@@ -177,7 +175,7 @@ def _search_cells(
             cell = (out, d_table, args)
             for a in set(args):
                 by_arg[a].append(cell)
-    return sorted(range(n), key=lambda i: (-mentions[i], i)), by_arg, ground
+    return sorted(range(n), key=lambda i: (-hits[i], i)), by_arg, ground
 
 
 def _search_homomorphisms(
@@ -424,12 +422,12 @@ def reduct(alg: FiniteAlgebra, keep: Iterable[str], name: Optional[str] = None) 
     unknown = keep_set - set(alg.signature.names())
     if unknown:
         raise UnknownSymbol(f"unknown symbols in reduct: {sorted(unknown)}")
+    if name and not IDENT_RE.match(name):
+        raise UalgError(f"bad algebra name: {name!r}")
     symbols = tuple(s for s in alg.signature.symbols if s[0] in keep_set)
     tables = tuple(
         tab for (sym, _), tab in zip(alg.signature.symbols, alg.tables) if sym in keep_set
     )
-    from .core import Signature
-
     return FiniteAlgebra(
         name=name or f"{alg.name}_reduct",
         carrier=alg.carrier,

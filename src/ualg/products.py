@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import FiniteAlgebra, Signature, UalgError, apply_columns, arg_columns
+from .core import IDENT_RE, FiniteAlgebra, Signature, UalgError, apply_columns, arg_columns
 from .morphisms import (
     Morphism,
     check_homomorphism,
@@ -66,6 +66,11 @@ def direct_product(
         fresh = tuple(elements)
     else:
         fresh = tuple(f"{prefix}{i}" for i in range(size))
+    if name and not IDENT_RE.match(name):
+        raise UalgError(f"bad algebra name: {name!r}")
+    for e in fresh:
+        if not IDENT_RE.match(e):
+            raise UalgError(f"bad element name: {e!r}")
     # element p has the mixed-radix digits (p // strides[fi]) % len(f.carrier)
     strides = [math.prod(len(f.carrier) for f in factors[fi + 1:]) for fi in range(len(factors))]
     digits = [[(p // st) % len(f.carrier) for p in range(size)] for f, st in zip(factors, strides)]

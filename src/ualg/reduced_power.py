@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import BudgetExceeded, FiniteAlgebra, UalgError
-from .core import apply_columns, arg_columns, semi_naive_runs
+from .core import close, induced_tables
 from .morphisms import Morphism, check_homomorphism
 
 
@@ -165,7 +165,7 @@ def adjoin_generate(
 
     The closure is finite: every member has preperiod length at most the
     generators' maximum and period length dividing the lcm of the
-    generators' period lengths (asserted during expansion)."""
+    generators' period lengths (asserted once the closure is done)."""
     gens = tuple(gens)
     for g in gens:
         if g.base != alg:
@@ -178,50 +178,26 @@ def adjoin_generate(
     # a member is its window: its carrier indices at positions
     # 0 .. pre_bound+per_bound-1, from which it repeats with period per_bound
     width = pre_bound + per_bound
-    k = len(alg.carrier)
 
     def member(window: tuple[int, ...]) -> EpSequence:
-        return canonicalize(alg, [alg.carrier[v] for v in window[:pre_bound]],
-                            [alg.carrier[v] for v in window[pre_bound:]])
+        seq = canonicalize(alg, [alg.carrier[v] for v in window[:pre_bound]],
+                           [alg.carrier[v] for v in window[pre_bound:]])
+        assert len(seq.preperiod) <= pre_bound
+        assert per_bound % len(seq.period) == 0
+        return seq
 
-    starts = [(i,) * width for i in range(k)]
+    starts = [(i,) * width for i in range(len(alg.carrier))]
     starts += [tuple(alg.index_of[g.at(p)] for p in range(width)) for g in gens]
-    by_window = {w: member(w) for w in starts}
-    windows = list(by_window)  # in insertion order, so new members form a suffix
-    new_from = 0
-    while new_from < len(windows):
-        count = len(windows)
-        flat = [v for w in windows for v in w]
-        for sym, arity in alg.signature.symbols:
-            table = alg.table(sym)
-            for head, low in semi_naive_runs(count, new_from, arity):
-                cols = [windows[c] * (count - low) for c in head] + [flat[low * width:]]
-                outs = apply_columns(table, k, cols)
-                for out in zip(*[iter(outs)] * width):
-                    if out not in by_window:
-                        seq = by_window[out] = member(out)
-                        assert len(seq.preperiod) <= pre_bound
-                        assert per_bound % len(seq.period) == 0
-                        windows.append(out)
-        new_from = count
-
+    windows, _, _, _ = close(alg, list(dict.fromkeys(starts)))
+    by_window = {w: member(w) for w in windows}
     windows.sort(key=lambda w: _sort_key(by_window[w]))
     ordered = [by_window[w] for w in windows]
     fresh = tuple(f"{prefix}{i}" for i in range(len(ordered)))
-    row_of = {w: i for i, w in enumerate(windows)}
-    tables = []
-    for sym, arity in alg.signature.symbols:
-        cols = arg_columns(len(windows), arity)
-        per_position = [
-            apply_columns(alg.table(sym), k, [[windows[a][p] for a in col] for col in cols])
-            for p in range(width)
-        ]
-        tables.append(tuple(row_of[w] for w in zip(*per_position)))
     view = FiniteAlgebra(
         name=f"{alg.name}_ext",
         carrier=fresh,
         signature=alg.signature,
-        tables=tuple(tables),
+        tables=induced_tables(alg, windows),
     )
     return GeneratedExtension(
         base=alg,

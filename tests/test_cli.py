@@ -4,6 +4,7 @@ import shlex
 import pytest
 
 from ualg.cli import main
+from ualg.fileformat import parse_algebra_file
 
 BO = "data/paper_BO.alg"
 
@@ -314,3 +315,41 @@ def test_non_utf8_file(capsys, tmp_path):
                  ("satisfies", BO, str(bad), "--algebra", "O")):
         code, out, err = run(capsys, *argv)
         assert_one_line_input_error(code, out, err, f"{bad}: not UTF-8 text (byte 0)")
+
+
+def test_free_retract_gens_past_z(capsys):
+    # generators are named a..z, so 27 has no name for its last one
+    for gens in ("27", "1200000"):
+        code, out, err = run(capsys, "free-retract", "--gens", gens, "--bound", "2",
+                             "--image-bound", "1")
+        assert_one_line_input_error(code, out, err,
+                                    f"--gens must be at most 26 (generators a..z), got {gens}")
+    code, out, err = run(capsys, "free-retract", "--gens", "0", "--bound", "2",
+                         "--image-bound", "1")
+    assert_one_line_input_error(code, out, err, "need at least one generator")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("product", BO, "--algebras", "B,B", "--prefix", "1"), "bad element name: '10'"),
+    (("product", BO, "--algebras", "B,B", "--name", "bad name"), "bad algebra name: 'bad name'"),
+    (("product", BO, "--algebras", "B,O", "--elements", "a,b,c,d,e,f,g,h h"),
+     "bad element name: 'h h'"),
+    (("reduct", BO, "--algebra", "O", "--keep", "and", "--name", "1x"),
+     "bad algebra name: '1x'"),
+])
+def test_names_that_do_not_parse_back(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert_one_line_input_error(code, out, err, message)
+
+
+def test_product_and_reduct_output_parse_back(capsys):
+    code, out, _ = run(capsys, "--json", "product", BO, "--algebras", "B,O",
+                       "--prefix", "pq", "--name", "B_O")
+    assert code == 0
+    (prod,) = parse_algebra_file(json.loads(out)["algebra"])
+    assert (prod.name, prod.carrier) == ("B_O", tuple(f"pq{i}" for i in range(8)))
+    code, out, _ = run(capsys, "--json", "reduct", BO, "--algebra", "O", "--keep", "and",
+                       "--name", "Oand")
+    assert code == 0
+    (red,) = parse_algebra_file(json.loads(out)["algebra"])
+    assert (red.name, red.signature.names()) == ("Oand", ("and",))

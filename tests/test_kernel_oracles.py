@@ -1,7 +1,8 @@
 """Table kernel and semi-naive closures against slow oracles: the naive
 clone loop, the per-tuple semi-naive loops of `clone_n`, `generate` and
-`adjoin_generate`, string-level product tables, the `pointwise_apply`
-closure of extensions and the string-level homomorphism check."""
+`adjoin_generate`, string-level product and subalgebra tables, the
+`pointwise_apply` closure of extensions and the string-level
+homomorphism check."""
 
 import dataclasses
 import itertools
@@ -276,8 +277,30 @@ def test_clone_runs_match_tuple_loop(seed):
 def test_generate_runs_match_tuple_loop(seed):
     rng = random.Random(seed)
     (alg,) = random_family(rng, 1)
+    alg = symmetrised(alg, rng)
     gens = rng.sample(alg.carrier, rng.randint(0, 2))
     assert generate(alg, gens) == tuple_generate(alg, gens)
+
+
+def oracle_induced_tables(sub):
+    """Every cell of the induced algebra by `apply` on element names."""
+    position = {e: i for i, e in enumerate(sub.members)}
+    return tuple(
+        tuple(position[sub.parent.apply(sym, *args)]
+              for args in itertools.product(sub.members, repeat=arity))
+        for sym, arity in sub.parent.signature.symbols
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_as_algebra_matches_string_apply(seed):
+    rng = random.Random(seed)
+    (alg,) = random_family(rng, 1)
+    sub = generate(alg, rng.sample(alg.carrier, rng.randint(1, 2))).subuniverse
+    induced = sub.as_algebra("S")
+    assert induced.carrier == sub.members
+    assert induced.tables == oracle_induced_tables(sub)
 
 
 @settings(max_examples=100, deadline=None)
@@ -297,6 +320,7 @@ def test_direct_product_matches_string_tables(seed):
 def test_adjoin_matches_pointwise_closure(seed):
     rng = random.Random(seed)
     (alg,) = random_family(rng, 1)
+    alg = symmetrised(alg, rng)
     # members <= k**(pre + period), so at most 2048 cells per table
     k, arity = len(alg.carrier), max(1, *(a for _, a in alg.signature.symbols))
     pre, period = rng.randint(0, 1), rng.randint(1, 4)
