@@ -314,7 +314,7 @@ def cmd_rp(args) -> int:
     alg = _pick(_load_algebras(args.file), args.algebra, args.file)
     gens = _parse_gens(alg, args.gen)
     if args.rp_command == "adjoin":
-        ext = adjoin_generate(alg, gens)
+        ext = adjoin_generate(alg, gens, budget=args.budget)
         rows = [f"{label}  = {seq.render()}" for label, seq in ext.labels]
         payload = {
             "base": alg.name,
@@ -324,14 +324,14 @@ def cmd_rp(args) -> int:
         _emit(args, payload, "\n".join(rows + [f"{len(ext.members)} members"]))
         return 0
     if args.rp_command == "retract":
-        ext = adjoin_generate(alg, gens)
+        ext = adjoin_generate(alg, gens, budget=args.budget)
         r = coordinate_retraction(ext, args.index)
         _emit(args, {"index": args.index, "map": r.as_dict()},
               " ".join(f"{k}->{v}" for k, v in r.as_dict().items()))
         return 0
     if args.rp_command == "preserve":
         eqs = _load_equations(args.equations, name=args.equations)
-        report = preservation_suite(alg, eqs, gens)
+        report = preservation_suite(alg, eqs, gens, budget=args.budget)
         rows = [f"{'pass' if res.holds else 'FAIL'}  {eq.render()}"
                 for eq, res in report.results]
         payload = {

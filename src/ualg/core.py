@@ -107,6 +107,64 @@ def apply_columns(table: Sequence[int], k: int, columns: Sequence[Sequence[int]]
     return [table[i] for i in idx]
 
 
+PACK_LIMIT = 256  # indices below this fit in a byte, so their vectors are packed as bytes
+
+
+def pack(values: Iterable[int], n: int):
+    """A vector of indices below n, in the form that `gather` reads: a
+    bytearray when n <= PACK_LIMIT, else a list.  Both take slices, slice
+    assignment and `extend`."""
+    return bytearray(values) if n <= PACK_LIMIT else list(values)
+
+
+class Rows(dict):
+    """The rows of an operation table over k elements, each built on first
+    use: self[r] maps each last argument to the output for the argument
+    prefix of row-major index r.  When n <= PACK_LIMIT bounds every index
+    and value met, a row is bytes padded to 256, a translation table for
+    `gather`; otherwise it is the table slice."""
+
+    def __init__(self, table: Sequence[int], k: int, n: int):
+        super().__init__()
+        self.k, self.packed = k, n <= PACK_LIMIT
+        self.table = bytes(table) if self.packed else table
+
+    def __missing__(self, r: int):
+        row = self.table[r * self.k:(r + 1) * self.k]
+        self[r] = row = row.ljust(256, b"\0") if self.packed else row
+        return row
+
+
+def gather(row, column):
+    """row[v] for each v of a column that `pack` made with the row's n."""
+    if type(row) is bytes:
+        return column.translate(row)
+    return [row[v] for v in column]
+
+
+def weighted_sum(vectors: Sequence, weights: Sequence[int], n: int):
+    """Position by position, the sum of w * v over the n-position vectors
+    v that `pack` made with n and their weights w; every sum is below n."""
+    if n <= PACK_LIMIT:  # no byte's sum carries into the next
+        total = sum(w * int.from_bytes(v, "big") for v, w in zip(vectors, weights))
+        return bytearray(total.to_bytes(n, "big"))
+    return [sum(w * x for w, x in zip(weights, xs)) for xs in zip(*vectors)]
+
+
+def apply_run(rows: Rows, k: int, prefix: Sequence[Sequence[int]], column, width: int):
+    """One row-major run: the operation of `rows`, applied position by
+    position to prefix + (v,) for each width-position vector v of a
+    column of consecutive vectors that `pack` made with k.  The results
+    overwrite the column: one gather per position, over its strided
+    slice, with the row of that position's prefix."""
+    row_of = [0] * width
+    for vector in prefix:
+        row_of = [r * k + v for r, v in zip(row_of, vector)]
+    for i, r in enumerate(row_of):
+        column[i::width] = gather(rows[r], column[i::width])
+    return column
+
+
 def semi_naive_runs(count: int, new_from: int,
                     arity: int) -> Iterable[tuple[tuple[int, ...], int]]:
     """Row-major runs of the argument tuples over members 0..count-1 that
@@ -206,15 +264,11 @@ def validate_algebra(
             )
             tables.append(None)
             continue
-        row = []
-        ok = True
-        for v in values:
-            if v not in index:
-                problems.append(f"unknown element in table for {sym}/{arity}: {v}")
-                ok = False
-                break
-            row.append(index[v])
-        tables.append(tuple(row) if ok else None)
+        try:
+            tables.append(tuple(map(index.__getitem__, values)))
+        except KeyError as exc:
+            problems.append(f"unknown element in table for {sym}/{arity}: {exc.args[0]}")
+            tables.append(None)
 
     if problems:
         raise InvalidAlgebra(problems)
@@ -230,8 +284,8 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
     Members are the starts, then each new vector in the order found, so
     those new in a round form a suffix.  Each round composes only
     argument tuples that hold a member new in the round before, one
-    row-major run of last arguments per kernel call, and skips f(b, a)
-    after f(a, b) for a commutative binary f, which changes no member
+    row-major run of last arguments per `apply_run` call, and skips
+    f(b, a) after f(a, b) for a commutative binary f, which changes no member
     and no order.  Returns (members, derivations, rounds, complete):
     derivations[i] is (symbol, argument member indices) for the
     application that found member i, or None for a start; rounds holds
@@ -244,15 +298,17 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
     members = list(starts)
     seen = set(members)
     derivations: list = [None] * len(members)
-    flat = [v for m in members for v in m]
+    flat = pack(itertools.chain.from_iterable(members), k)
     rounds = [len(members)]
     commutative = [arity == 2 and all(t[a * k:(a + 1) * k] == t[a::k] for a in range(k))
                    for (_, arity), t in zip(alg.signature.symbols, alg.tables)]
+    op_rows = [Rows(t, k, k) for t in alg.tables]
     limit = float("inf") if budget is None else budget
     attempts, new_from, complete = 0, 0, True
     while complete and new_from < len(members):
         count = len(members)
-        for (sym, arity), table, skip in zip(alg.signature.symbols, alg.tables, commutative):
+        for (sym, arity), table, rows, skip in zip(alg.signature.symbols, alg.tables, op_rows,
+                                                   commutative):
             if arity == 0:
                 const = (table[0],) * width
                 if const not in seen:
@@ -266,15 +322,16 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
                     low = max(low, prefix[0])
                 length = min(count - low, limit - attempts)
                 attempts += length
-                cols = [members[c] * length for c in prefix]
-                cols.append(flat[low * width:(low + length) * width])
-                outs = apply_columns(table, k, cols)
-                for last, out in enumerate(zip(*[iter(outs)] * width), low):
-                    if out not in seen:
-                        seen.add(out)
-                        members.append(out)
-                        flat.extend(out)
-                        derivations.append((sym, prefix + (last,)))
+                outs = apply_run(rows, k, [members[c] for c in prefix],
+                                  flat[low * width:(low + length) * width], width)
+                outs = list(zip(*[iter(outs)] * width))
+                if not seen.issuperset(outs):
+                    for last, out in enumerate(outs, low):
+                        if out not in seen:
+                            seen.add(out)
+                            members.append(out)
+                            flat.extend(out)
+                            derivations.append((sym, prefix + (last,)))
                 if length < count - low:
                     complete = False
                     break
@@ -290,21 +347,22 @@ def induced_tables(alg: FiniteAlgebra, members: Sequence[tuple[int, ...]]
                    ) -> tuple[tuple[int, ...], ...]:
     """The operation tables, over positions in `members`, of a non-empty
     list of equal-width vectors of carrier indices that is closed under
-    the basic operations applied pointwise; one kernel call per
+    the basic operations applied pointwise; one `apply_run` call per
     row-major run of last arguments."""
     k = len(alg.carrier)
     width = len(members[0])
     position = {m: i for i, m in enumerate(members)}
-    flat = [v for m in members for v in m]
+    flat = pack(itertools.chain.from_iterable(members), k)
     tables = []
     for (_, arity), table in zip(alg.signature.symbols, alg.tables):
         if arity == 0:
             tables.append((position[(table[0],) * width],))
             continue
+        rows = Rows(table, k, k)
         cells: list[int] = []
         for prefix, _ in semi_naive_runs(len(members), 0, arity):
-            outs = apply_columns(table, k, [members[c] * len(members) for c in prefix] + [flat])
-            cells.extend(position[out] for out in zip(*[iter(outs)] * width))
+            outs = apply_run(rows, k, [members[c] for c in prefix], flat[:], width)
+            cells.extend(map(position.__getitem__, zip(*[iter(outs)] * width)))
         tables.append(tuple(cells))
     return tuple(tables)
 

@@ -10,7 +10,7 @@ from functools import cached_property
 from typing import Iterable, Literal, Optional, Sequence
 
 from .core import IDENT_RE, BudgetExceeded, FiniteAlgebra, Signature, Subuniverse, UalgError
-from .core import UnknownSymbol, apply_columns, arg_columns
+from .core import Rows, UnknownSymbol, arg_columns, gather, pack
 
 
 class SignatureMismatch(UalgError):
@@ -92,19 +92,30 @@ class HomWitness:
 
 def check_homomorphism(m: Morphism) -> tuple[bool, Optional[HomWitness]]:
     """f(o(z...)) = o(f(z)...) for every symbol and argument tuple; on
-    failure the first offending application is returned."""
+    failure the first offending application is returned.  Row by row:
+    for each prefix of arguments, the source row mapped by f against the
+    target's row of the mapped prefix gathered at f."""
     src, dst = m.source, m.target
     _require_shared_signature(src, dst)
+    ks, kd = len(src.carrier), len(dst.carrier)
+    n = max(ks, kd)
     img = [dst.index_of[e] for e in m.images]
+    mapped, f = pack(img, n), Rows(img, ks, n)[0]
     for sym, arity in src.signature.symbols:
-        cols = arg_columns(len(src.carrier), arity)
-        lhs = [img[v] for v in apply_columns(src.table(sym), len(src.carrier), cols)]
-        mapped = [[img[a] for a in col] for col in cols]
-        rhs = apply_columns(dst.table(sym), len(dst.carrier), mapped)
-        if lhs != rhs:
-            t = next(t for t, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-            args = tuple(src.carrier[col[t]] for col in cols)
-            return False, HomWitness(sym, args, dst.carrier[lhs[t]], dst.carrier[rhs[t]])
+        # a nullary table is one row of one cell, at last argument 0
+        last = mapped if arity else pack([0], n)
+        lhs = gather(f, pack(src.table(sym), n))
+        dst_rows = Rows(dst.table(sym), kd, n)
+        for r, prefix in enumerate(itertools.product(range(ks), repeat=max(arity - 1, 0))):
+            row = 0
+            for a in prefix:
+                row = row * kd + img[a]
+            rhs = gather(dst_rows[row], last)
+            got = lhs[r * len(last):(r + 1) * len(last)]
+            if got != rhs:
+                j = next(j for j, (a, b) in enumerate(zip(got, rhs)) if a != b)
+                args = tuple(src.carrier[a] for a in prefix + (j,)) if arity else ()
+                return False, HomWitness(sym, args, dst.carrier[got[j]], dst.carrier[rhs[j]])
     return True, None
 
 

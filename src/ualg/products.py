@@ -7,9 +7,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .core import IDENT_RE, FiniteAlgebra, Signature, UalgError, apply_columns, arg_columns
+from .core import IDENT_RE, FiniteAlgebra, Rows, Signature, UalgError, gather, pack, weighted_sum
 from .morphisms import (
     Morphism,
     check_homomorphism,
@@ -25,12 +26,19 @@ class RelabeledProduct:
     labels: tuple[tuple[str, tuple[str, ...]], ...]  # fresh urelement -> factor tuple
     projections: tuple[Morphism, ...]
 
+    @cached_property
+    def _parts_of(self) -> dict[str, tuple[str, ...]]:
+        return dict(self.labels)
+
+    @cached_property
+    def _element_of(self) -> dict[tuple[str, ...], str]:
+        return {t: e for e, t in self.labels}
+
     def relabel(self, element: str) -> tuple[str, ...]:
-        return dict(self.labels)[element]
+        return self._parts_of[element]
 
     def unrelabel(self, parts: Sequence[str]) -> str:
-        inverse = {t: e for e, t in self.labels}
-        return inverse[tuple(parts)]
+        return self._element_of[tuple(parts)]
 
 
 def direct_product(
@@ -73,16 +81,27 @@ def direct_product(
             raise UalgError(f"bad element name: {e!r}")
     # element p has the mixed-radix digits (p // strides[fi]) % len(f.carrier)
     strides = [math.prod(len(f.carrier) for f in factors[fi + 1:]) for fi in range(len(factors))]
-    digits = [[(p // st) % len(f.carrier) for p in range(size)] for f, st in zip(factors, strides)]
+    digits = [pack(((p // st) % len(f.carrier) for p in range(size)), size)
+              for f, st in zip(factors, strides)]
 
     tables = []
     for sym, arity in sig.symbols:
-        cols = arg_columns(size, arity)
-        values = [0] * size**arity
-        for f, st, d in zip(factors, strides, digits):
-            out = apply_columns(f.table(sym), len(f.carrier), [[d[p] for p in col] for col in cols])
-            values = [v + st * o for v, o in zip(values, out)]
-        tables.append(tuple(values))
+        if arity == 0:
+            tables.append((sum(st * f.table(sym)[0] for f, st in zip(factors, strides)),))
+            continue
+        # the row of a prefix of product elements sums, over the factors,
+        # stride times the factor's row of that prefix's digits
+        rows = [Rows(f.table(sym), len(f.carrier), size) for f in factors]
+        cells: list[int] = []
+        for prefix in itertools.product(range(size), repeat=arity - 1):
+            parts = []
+            for f, d, f_rows in zip(factors, digits, rows):
+                r = 0
+                for p in prefix:
+                    r = r * len(f.carrier) + d[p]
+                parts.append(gather(f_rows[r], d))
+            cells.extend(weighted_sum(parts, strides, size))
+        tables.append(tuple(cells))
     prod = FiniteAlgebra(
         name=name or ("x".join(f.name for f in factors) or "Terminal"),
         carrier=fresh,

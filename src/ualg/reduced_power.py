@@ -237,14 +237,15 @@ def coordinate_retraction(ext: GeneratedExtension, index: int) -> Morphism:
     return r
 
 
-def preservation_suite(alg: FiniteAlgebra, eqs, gens: Iterable[EpSequence]):
+def preservation_suite(alg: FiniteAlgebra, eqs, gens: Iterable[EpSequence],
+                       budget: int = 200_000):
     """Check every equation of the set on the generated extension's
     algebra view.  Expected all-pass: equations are preserved by reduced
-    powers and by subalgebras."""
+    powers and by subalgebras.  budget is that of `adjoin_generate`."""
     from .terms import satisfies_all
 
     base_report = satisfies_all(alg, eqs)
     if not base_report.variety_member:
         raise UalgError(f"{alg.name} does not satisfy {eqs.name} to begin with")
-    ext = adjoin_generate(alg, gens)
+    ext = adjoin_generate(alg, gens, budget=budget)
     return satisfies_all(ext.algebra, eqs)

@@ -281,6 +281,18 @@ def test_retracts_honours_budget(capsys):
     assert code == 0 and out.count("->") == 8
 
 
+def test_rp_honours_budget(capsys):
+    # the window of `per b1 b2 b2 b1` bounds the members by 2**4 = 16
+    args = (BO, "--algebra", "B", "--gen", "per b1 b2 b2 b1")
+    for command in (("adjoin",), ("retract", "--index", "1"),
+                    ("preserve", "preset:boolean-algebra")):
+        code, out, err = run(capsys, "--budget", "10", "rp", command[0], *args, *command[1:])
+        assert_one_line_input_error(code, out, err,
+                                    "generated extension candidate bound exceeds budget")
+    code, out, _ = run(capsys, "--budget", "16", "rp", "adjoin", *args)
+    assert code == 0 and out.endswith("\n4 members\n")
+
+
 def test_free_retract_below_bound_lists_no_words(capsys):
     # 265,719 words up to length 11 would exceed the 100,000-word budget,
     # but below the bound the first word of length 3 decides

@@ -39,6 +39,13 @@ def test_validation_collects_all_problems():
     assert any("unknown element" in p for p in problems)
 
 
+def test_validation_names_first_unknown_table_value():
+    with pytest.raises(InvalidAlgebra) as exc:
+        validate_algebra("Bad", ["a", "b"], [("f", 2, ["a", "x", "y", "b"]), ("g", 1, ["z", "a"])])
+    assert exc.value.problems == ["unknown element in table for f/2: x",
+                                  "unknown element in table for g/1: z"]
+
+
 def test_validation_empty_carrier():
     with pytest.raises(InvalidAlgebra) as exc:
         validate_algebra("E", [], [])

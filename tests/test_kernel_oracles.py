@@ -2,16 +2,19 @@
 clone loop, the per-tuple semi-naive loops of `clone_n`, `generate` and
 `adjoin_generate`, string-level product and subalgebra tables, the
 `pointwise_apply` closure of extensions and the string-level
-homomorphism check."""
+homomorphism check.  Besides random small algebras, explicit examples
+have carriers on both sides of 256 elements, the largest carrier whose
+index vectors are packed as bytes."""
 
 import dataclasses
 import itertools
 import math
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ualg import Morphism, check_homomorphism, clone_n, direct_product, validate_algebra
+from ualg.catalog import cyclic_group
 from ualg.core import Subuniverse, apply_columns, arg_columns, semi_naive_runs
 from ualg.generation import CloneFragment, CloneMember, GenerationResult, GenerationTrace, generate
 from ualg.morphisms import HomWitness
@@ -34,6 +37,35 @@ def random_family(rng, count, max_arity=3):
             rng.shuffle(ops)
         family.append(validate_algebra(f"R{j}", elements, ops))
     return family
+
+
+def wide_algebra(size, name="W"):
+    """A random algebra of `size` elements with a constant, a unary and a
+    binary operation, commutative for an even size."""
+    rng = random.Random(size)
+    elements = [f"e{i}" for i in range(size)]
+    binary = rng.choices(elements, k=size * size)
+    if size % 2 == 0:
+        binary = [binary[min(a, b) * size + max(a, b)] for a in range(size) for b in range(size)]
+    return validate_algebra(name, elements, [("c", 0, [rng.choice(elements)]),
+                                             ("u", 1, rng.choices(elements, k=size)),
+                                             ("m", 2, binary)])
+
+
+def max_chain(size):
+    """The chain 0 < 1 < ... < size-1 under max."""
+    elements = [f"e{i}" for i in range(size)]
+    return validate_algebra(f"C{size}", elements,
+                            [("max", 2, [elements[max(a, b)] for a in range(size)
+                                         for b in range(size)])])
+
+
+def late_witness_map(size):
+    """An endomorphism of max_chain(size) except that the top goes two
+    below itself: the first bad cell is max(e[size-2], e[size-1]), in the
+    second-last row."""
+    chain = max_chain(size)
+    return Morphism(chain, chain, chain.carrier[:-1] + chain.carrier[-3:-2])
 
 
 def row_major_index(args, size):
@@ -272,13 +304,24 @@ def test_clone_runs_match_tuple_loop(seed):
             assert clone_n(alg, n, budget=b) == tuple_clone_n(alg, n, b)[0], b
 
 
-@settings(max_examples=150, deadline=None)
-@given(seeds)
-def test_generate_runs_match_tuple_loop(seed):
+def generation_case(seed):
     rng = random.Random(seed)
     (alg,) = random_family(rng, 1)
     alg = symmetrised(alg, rng)
-    gens = rng.sample(alg.carrier, rng.randint(0, 2))
+    return alg, rng.sample(alg.carrier, rng.randint(0, 2))
+
+
+WIDE = [wide_algebra(size) for size in (255, 256, 257)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds.map(generation_case))
+@example((WIDE[0], ["e7"]))
+@example((WIDE[1], []))
+@example((WIDE[2], ["e3", "e200"]))
+@example((cyclic_group(300), ["g2"]))
+def test_generate_runs_match_tuple_loop(case):
+    alg, gens = case
     assert generate(alg, gens) == tuple_generate(alg, gens)
 
 
@@ -292,25 +335,37 @@ def oracle_induced_tables(sub):
     )
 
 
-@settings(max_examples=150, deadline=None)
-@given(seeds)
-def test_as_algebra_matches_string_apply(seed):
+def random_subuniverse(seed):
     rng = random.Random(seed)
     (alg,) = random_family(rng, 1)
-    sub = generate(alg, rng.sample(alg.carrier, rng.randint(1, 2))).subuniverse
+    return generate(alg, rng.sample(alg.carrier, rng.randint(1, 2))).subuniverse
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds.map(random_subuniverse))
+@example(Subuniverse(WIDE[0], WIDE[0].carrier))
+@example(Subuniverse(WIDE[1], WIDE[1].carrier))
+@example(generate(WIDE[2], ["e3"]).subuniverse)
+@example(generate(cyclic_group(300), ["g2"]).subuniverse)  # 150 elements
+def test_as_algebra_matches_string_apply(sub):
     induced = sub.as_algebra("S")
     assert induced.carrier == sub.members
     assert induced.tables == oracle_induced_tables(sub)
 
 
-@settings(max_examples=100, deadline=None)
-@given(seeds)
-def test_direct_product_matches_string_tables(seed):
+def random_factors(seed):
     rng = random.Random(seed)
     factors = random_family(rng, rng.randint(1, 3))
     max_arity = max(a for _, a in factors[0].signature.symbols)
     while math.prod(len(f.carrier) for f in factors) ** max_arity > 4096:
         factors.pop()
+    return factors
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds.map(random_factors))
+@example([wide_algebra(16, "P"), wide_algebra(17, "Q")])  # 272 elements
+def test_direct_product_matches_string_tables(factors):
     prod = direct_product(factors)
     assert prod.product.tables == oracle_product_tables(factors)
 
@@ -340,9 +395,7 @@ def test_adjoin_matches_pointwise_closure(seed):
     assert ext.labels == tuple(zip(ext.algebra.carrier, members))
 
 
-@settings(max_examples=200, deadline=None)
-@given(seeds)
-def test_check_homomorphism_matches_string_level(seed):
+def random_morphism(seed):
     rng = random.Random(seed)
     src, dst = random_family(rng, 2)
     if rng.random() < 0.3:
@@ -350,5 +403,18 @@ def test_check_homomorphism_matches_string_level(seed):
     images = tuple(rng.choice(dst.carrier) for _ in src.carrier)
     if dst is src and rng.random() < 0.5:
         images = src.carrier  # the identity, a homomorphism
-    m = Morphism(src, dst, images)
+    return Morphism(src, dst, images)
+
+
+Z300, Z60 = cyclic_group(300), cyclic_group(60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds.map(random_morphism))
+@example(Morphism(Z300, Z300, tuple(Z300.carrier[7 * i % 300] for i in range(300))))
+@example(Morphism(Z60, Z300, tuple(Z300.carrier[5 * i] for i in range(60))))
+@example(Morphism(Z300, Z300, Z300.carrier[1:] + Z300.carrier[:1]))
+@example(late_witness_map(200))
+@example(late_witness_map(300))
+def test_check_homomorphism_matches_string_level(m):
     assert check_homomorphism(m) == oracle_check_homomorphism(m)
