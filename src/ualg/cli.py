@@ -61,6 +61,8 @@ def _read_file(path: str) -> str:
                        else f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not UTF-8 text (byte {exc.start})")
+    except ValueError as exc:  # open() refuses a path with a NUL in it
+        raise CliError(f"cannot read {path!r}: {exc}")
 
 
 def _load_algebras(path: str) -> list[FiniteAlgebra]:

@@ -117,21 +117,25 @@ def pack(values: Iterable[int], n: int):
     return bytearray(values) if n <= PACK_LIMIT else list(values)
 
 
+def as_row(values: Sequence[int], n: int):
+    """A map from each position of `values` to its value, in the form that
+    `gather` reads, when n bounds every index and value met: bytes padded
+    to 256, a translation table, when n <= PACK_LIMIT; else the values."""
+    return bytes(values).ljust(256, b"\0") if n <= PACK_LIMIT else values
+
+
 class Rows(dict):
     """The rows of an operation table over k elements, each built on first
-    use: self[r] maps each last argument to the output for the argument
-    prefix of row-major index r.  When n <= PACK_LIMIT bounds every index
-    and value met, a row is bytes padded to 256, a translation table for
-    `gather`; otherwise it is the table slice."""
+    use: self[r] is `as_row` of the outputs for the argument prefix of
+    row-major index r, one per last argument."""
 
     def __init__(self, table: Sequence[int], k: int, n: int):
         super().__init__()
-        self.k, self.packed = k, n <= PACK_LIMIT
-        self.table = bytes(table) if self.packed else table
+        self.k, self.n = k, n
+        self.table = bytes(table) if n <= PACK_LIMIT else table
 
     def __missing__(self, r: int):
-        row = self.table[r * self.k:(r + 1) * self.k]
-        self[r] = row = row.ljust(256, b"\0") if self.packed else row
+        self[r] = row = as_row(self.table[r * self.k:(r + 1) * self.k], self.n)
         return row
 
 

@@ -1,5 +1,5 @@
-"""Homomorphism checking, exhaustive enumeration by backtracking with
-propagation of forced cells, retraction search, and isomorphism testing."""
+"""Homomorphism checking, exhaustive enumeration by backtracking over the
+closure levels of the source, retraction search, and isomorphism testing."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from functools import cached_property
 from typing import Iterable, Literal, Optional, Sequence
 
 from .core import IDENT_RE, BudgetExceeded, FiniteAlgebra, Signature, Subuniverse, UalgError
-from .core import Rows, UnknownSymbol, arg_columns, gather, pack
+from .core import Rows, UnknownSymbol, as_row, gather, pack, semi_naive_runs
 
 
 class SignatureMismatch(UalgError):
@@ -100,7 +100,7 @@ def check_homomorphism(m: Morphism) -> tuple[bool, Optional[HomWitness]]:
     ks, kd = len(src.carrier), len(dst.carrier)
     n = max(ks, kd)
     img = [dst.index_of[e] for e in m.images]
-    mapped, f = pack(img, n), Rows(img, ks, n)[0]
+    mapped, f = pack(img, n), as_row(img, n)
     for sym, arity in src.signature.symbols:
         # a nullary table is one row of one cell, at last argument 0
         last = mapped if arity else pack([0], n)
@@ -159,34 +159,106 @@ def check_partial_homomorphism(m: PartialMorphism) -> tuple[bool, Optional[HomWi
     return True, None
 
 
-def _search_cells(
-    src: FiniteAlgebra, dst: FiniteAlgebra
-) -> tuple[list[int], list[list], list[tuple[int, int]]]:
-    """Source elements in fail-first order (most table outputs first, as
-    every element fills each argument position equally often; results
-    are sorted later, so the order is never observable); per source
-    element the cells that take it as an argument, as (output, target
-    table, args); and per nullary cell its output and the target's
-    constant."""
-    n = len(src.carrier)
-    hits = Counter(v for t in src.tables for v in t)
-    by_arg: list[list] = [[] for _ in range(n)]
-    ground: list[tuple[int, int]] = []
-    for sym, arity in src.signature.symbols:
-        cols = arg_columns(n, arity)
-        outs = src.table(sym)
-        d_table = dst.table(sym)
-        if not cols:
-            ground.append((outs[0], d_table[0]))
-            continue
-        # a list, not a lazy zip: over a lazy zip the cells kept the
-        # collector busy with full collections (3x slower on Z1200)
-        rows = list(zip(*cols))
-        for args, out in zip(rows, outs):
-            cell = (out, d_table, args)
-            for a in set(args):
-                by_arg[a].append(cell)
-    return sorted(range(n), key=lambda i: (-hits[i], i)), by_arg, ground
+def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra, fixed: dict[int, int],
+              n: int) -> tuple[list, list]:
+    """The closure levels of the search, from the source alone.  Level 0
+    is Sg(fixed elements and constants); level j adds its branch element,
+    the first element in fail-first order (most table outputs first;
+    lists and counts are sorted later, so only the first map found under
+    `stop_after` depends on it) outside the closure so far, and the rest
+    of the closure with it.
+
+    Returns (ground, levels).  ground lists (element, target constant)
+    for each constant whose element is mapped before it.  A level is
+    (branch element, or None for level 0; derivations; new elements;
+    columns; checks).  A derivation (output, target table, args) gives a
+    new element's image from those of earlier ones.  The two columns are
+    the closure and the new elements, packed with n.  The checks hold,
+    per symbol of arity >= 1, the target's rows, the runs, and the source
+    outputs of all runs packed with n.  A run (prefix, new_only, lo, hi)
+    stands for the cells prefix + (c,) for c in the closure, or with
+    new_only in the new elements, whose outputs are outputs[lo:hi]: one
+    per prefix over the closure, new_only when the prefix holds no new
+    element, so the runs cover each cell with a new element once."""
+    ks, kd = len(src.carrier), len(dst.carrier)
+    hits = Counter(itertools.chain.from_iterable(src.tables))
+    order = iter(sorted(range(ks), key=lambda i: (-hits[i], i)))
+    ops = [(arity, src.table(sym), dst.table(sym), Rows(src.table(sym), ks, n),
+            Rows(dst.table(sym), kd, n)) for sym, arity in src.signature.symbols]
+    closed = list(fixed)
+    seen = set(closed)
+    packed = pack(closed, n)
+    derivations: list = []
+
+    def add(out: int, d_table: Sequence[int], args: tuple[int, ...]) -> None:
+        seen.add(out)
+        closed.append(out)
+        packed.append(out)
+        derivations.append((out, d_table, args))
+
+    ground = []
+    for arity, s_table, d_table, _, _ in ops:
+        if arity == 0:
+            if s_table[0] in seen:
+                ground.append((s_table[0], d_table[0]))
+            else:
+                add(s_table[0], d_table, ())
+    levels, gen, start = [], None, 0
+    while True:
+        # semi-naive: element e = closed[head] meets only the tuples over
+        # closed[:head + 1] that hold it, split by the first position of e
+        head = start
+        while head < len(closed):
+            e = closed[head]
+            for arity, s_table, d_table, s_rows, _ in ops:
+                if arity == 0:
+                    continue
+                if arity == 1:  # one step per element along a unary chain
+                    if s_table[e] not in seen:
+                        add(s_table[e], d_table, (e,))
+                    continue
+                old, cur = closed[:head], closed[:head + 1]
+                runs = [(s_rows, itertools.product(*[old] * q, (e,), *[cur] * (arity - 2 - q)),
+                         cur, ()) for q in range(arity - 1)]
+                if head:  # e last: fold the last argument into the table
+                    runs.append((Rows(s_table[e::ks], ks, n),
+                                 itertools.product(old, repeat=arity - 2), old, (e,)))
+                for rows, prefixes, column, suffix in runs:
+                    col = packed[:len(column)]
+                    for prefix in prefixes:
+                        r = 0
+                        for a in prefix:
+                            r = r * ks + a
+                        outs = gather(rows[r], col)
+                        if not seen.issuperset(outs):
+                            for c, out in enumerate(outs):
+                                if out not in seen:
+                                    add(out, d_table, prefix + (column[c],) + suffix)
+            head += 1
+        end = len(closed)
+        columns = (packed[:end], packed[start:end])
+        checks = []
+        for arity, _, _, s_rows, d_rows in ops:
+            if arity == 0:
+                continue
+            runs, outs = [], pack((), n)
+            for prefix, low in semi_naive_runs(end, start, arity):
+                args = tuple(closed[p] for p in prefix)
+                r = 0
+                for a in args:
+                    r = r * ks + a
+                lo = len(outs)
+                outs.extend(gather(s_rows[r], columns[low > 0]))
+                runs.append((args, low > 0, lo, len(outs)))
+            checks.append((d_rows, runs, outs))
+        levels.append((gen, derivations, closed[start:end], columns, checks))
+        if end == ks:
+            return ground, levels
+        gen = next(i for i in order if i not in seen)
+        derivations, start = [], end
+        seen.add(gen)
+        closed.append(gen)
+        packed.append(gen)
 
 
 def _search_homomorphisms(
@@ -198,100 +270,93 @@ def _search_homomorphisms(
     stop_after: Optional[int] = None,
     node_budget: int = 10_000_000,
 ) -> list[tuple[int, ...]]:
-    """Backtracking over source elements with propagation of forced
-    cells: once every argument of a table cell is assigned, the image of
-    its output is fixed at the target table's value there, so it is
-    assigned at once and its own cells are followed in turn.  A forced
-    image prunes the branch if the output is mapped elsewhere, if the
-    image is not among the output's candidates, or, with `injective`, if
-    the image is in use.  The search branches, in fail-first order, only
-    on elements still unassigned: element i takes its image from
-    candidates[i], or is fixed at fixed[i], and with `injective` images
-    in use are skipped.  Only branching assignments count as nodes.
-    Returns image index tuples, unsorted, in the depth-first order of the
-    same search without propagation."""
+    """Backtracking over closure levels.  A homomorphism is fixed by its
+    values on a generating set, so the elements to branch on depend on
+    the source alone: level 0 maps the fixed elements (element i to
+    fixed[i]) and the constants and derives the rest of their closure,
+    and each later level branches on one element g, the first in
+    fail-first order outside the closure so far.  g takes its image from
+    candidates[g], with `injective` skipping images in use; each such
+    choice is one node.  A node derives the images of the level's new
+    elements from the target tables, one recorded application each, and
+    prunes if a derived image is not among the element's candidates or,
+    with `injective`, is in use; then it checks every cell of the level
+    with a new element in it, whole rows at a time.  The closure levels
+    are those that propagating forced cells would visit, so the search
+    branches on the same elements with the same verdicts.  Returns image
+    index tuples, unsorted, in the depth-first order of the same search
+    without derivations."""
     _require_shared_signature(src, dst)
-    n, k_dst = len(src.carrier), len(dst.carrier)
-    order, by_arg, ground = _search_cells(src, dst)
+    ks, kd = len(src.carrier), len(dst.carrier)
+    n = max(ks, kd)
     fixed = fixed or {}
+    ground, levels = _schedule(src, dst, fixed, n)
     # one set per distinct list: a hom search passes one list for every element
     as_set: dict[int, set[int]] = {}
     for c in candidates:
         if id(c) not in as_set:
             as_set[id(c)] = set(c)
-    allowed = [{fixed[i]} if i in fixed else as_set[id(c)] for i, c in enumerate(candidates)]
-    assignment: list[Optional[int]] = [None] * n
+    allowed = [as_set[id(c)] for c in candidates]
+    img = [0] * ks
     # used[v] is set only under `injective`, so the checks on it are
     # no-ops for plain hom searches
-    used = [False] * k_dst
-    trail: list[int] = []  # elements assigned since the search began, in order
+    used = [False] * kd
 
-    def settle(i: int, v: int) -> bool:
-        """Map i to v unless that conflicts; a new assignment goes on the
-        trail, which is also the queue of elements to follow."""
-        w = assignment[i]
-        if w is not None:
-            return w == v
-        if used[v] or v not in allowed[i]:
-            return False
-        assignment[i] = v
-        used[v] = injective
-        trail.append(i)
-        return True
+    def release(elements: Iterable[int]) -> None:
+        if injective:
+            for e in elements:
+                used[img[e]] = False
 
-    def propagate(pairs: Iterable[tuple[int, int]]) -> bool:
-        """Settle each (element, image) pair and every image that it
-        forces; False at the first conflict, with the trail left for
-        `undo`."""
-        head = len(trail)
-        if not all(settle(i, v) for i, v in pairs):
-            return False
-        while head < len(trail):
-            for out, d_table, args in by_arg[trail[head]]:
-                idx = 0
+    def extend(level) -> bool:
+        """Derive and check the level once its branch element is mapped;
+        on failure no image of the level stays in use."""
+        _, derivations, elements, columns, checks = level
+        for d, (out, d_table, args) in enumerate(derivations):
+            idx = 0
+            for a in args:
+                idx = idx * kd + img[a]
+            w = d_table[idx]
+            if used[w] or w not in allowed[out]:
+                release(elements[:len(elements) - len(derivations) + d])
+                return False
+            img[out] = w
+            used[w] = injective
+        image = as_row(img, n)
+        mapped = [gather(image, column) for column in columns]
+        for d_rows, runs, outs in checks:
+            expected = gather(image, outs)
+            for args, new_only, lo, hi in runs:
+                r = 0
                 for a in args:
-                    w = assignment[a]
-                    if w is None:
-                        break
-                    idx = idx * k_dst + w
-                else:
-                    w = assignment[out]
-                    if w is None:
-                        if not settle(out, d_table[idx]):
-                            return False
-                    elif w != d_table[idx]:
-                        return False
-            head += 1
+                    r = r * kd + img[a]
+                if gather(d_rows[r], mapped[new_only]) != expected[lo:hi]:
+                    release(elements)
+                    return False
         return True
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            i = trail.pop()
-            used[assignment[i]] = False  # type: ignore[index]
-            assignment[i] = None
-
-    # constants and fixed elements are assigned, and propagated, first
-    if not propagate([*ground, *fixed.items()]):
+    for i, v in fixed.items():
+        if used[v]:
+            return []
+        img[i] = v
+        used[v] = injective
+    if not extend(levels[0]) or any(img[c] != v for c, v in ground):
         return []
-    order = [i for i in order if assignment[i] is None]
     results: list[tuple[int, ...]] = []
     nodes = 0
-    # depth-first over `order` with an explicit stack of branch points:
-    # (position, candidates of its element passed over, trail length
-    # before it); forced elements are skipped
-    frames: list[tuple[int, int, int]] = []
-    pos, t = 0, 0
+    # depth-first over the levels with an explicit stack: tried[j] counts
+    # the candidates of level j's branch element passed over
+    tried = [0] * len(levels)
+    depth = 1
     while True:
-        while pos < len(order) and assignment[order[pos]] is not None:
-            pos += 1
-        if pos == len(order):
-            results.append(tuple(assignment))  # type: ignore[arg-type]
+        if depth == len(levels):
+            results.append(tuple(img))
             if stop_after is not None and len(results) >= stop_after:
                 break
         else:
-            i, mark = order[pos], len(trail)
-            cands = candidates[i]
-            ok = False
+            level = levels[depth]
+            g = level[0]
+            cands = candidates[g]
+            t, ok = tried[depth], False
             while not ok and t < len(cands):
                 v = cands[t]
                 t += 1
@@ -301,17 +366,19 @@ def _search_homomorphisms(
                 if nodes > node_budget:
                     what = "isomorphism" if injective else "homomorphism"
                     raise BudgetExceeded(f"{what} search node budget exceeded")
-                ok = propagate([(i, v)])
-                if not ok:
-                    undo(mark)
+                img[g] = v
+                used[v] = injective
+                ok = extend(level)
+            tried[depth] = t
             if ok:
-                frames.append((pos, t, mark))
-                pos, t = pos + 1, 0
+                depth += 1
+                if depth < len(levels):
+                    tried[depth] = 0
                 continue
-        if not frames:
+        depth -= 1
+        if depth == 0:
             break
-        pos, t, mark = frames.pop()
-        undo(mark)
+        release(levels[depth][2])
     return results
 
 
@@ -361,15 +428,26 @@ def find_retractions(
 
 def _orbit_sizes(step: Sequence[int]) -> list[int]:
     """Per element x, how many distinct elements x, step[x],
-    step[step[x]], ... run through."""
-    sizes = []
-    for i in range(len(step)):
-        seen = set()
-        cur = i
-        while cur not in seen:
-            seen.add(cur)
-            cur = step[cur]
-        sizes.append(len(seen))
+    step[step[x]], ... run through: its distance to the cycle it runs
+    into plus that cycle's length.  One pass over the functional graph:
+    each walk stops at an element already sized or at its own path."""
+    sizes = [0] * len(step)
+    walk_of = [-1] * len(step)  # the start of the walk that met each element
+    for start in range(len(step)):
+        if sizes[start]:
+            continue
+        path, x = [], start
+        while not sizes[x] and walk_of[x] != start:
+            walk_of[x] = start
+            path.append(x)
+            x = step[x]
+        if not sizes[x]:  # the walk closed a cycle at x
+            i = path.index(x)
+            for y in path[i:]:
+                sizes[y] = len(path) - i
+            del path[i:]
+        for y in reversed(path):
+            sizes[y] = sizes[step[y]] + 1
     return sizes
 
 
@@ -422,7 +500,10 @@ def check_isomorphism(
     images = found[0]
     iso = Morphism(a, b, tuple(b.carrier[v] for v in images))
     assert check_homomorphism(iso)[0]
-    inverse = Morphism(b, a, tuple(a.carrier[images.index(j)] for j in range(len(images))))
+    preimage = [0] * len(images)
+    for i, j in enumerate(images):
+        preimage[j] = i
+    inverse = Morphism(b, a, tuple(a.carrier[i] for i in preimage))
     assert check_homomorphism(inverse)[0]
     return iso
 

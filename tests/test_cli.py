@@ -33,6 +33,12 @@ def test_check_missing_file(capsys):
     assert "file not found" in err
 
 
+def test_check_path_with_nul_byte(capsys):
+    code, _, err = run(capsys, "check", "a\x00b")
+    assert code == 2
+    assert err.startswith("cannot read 'a\\x00b'")
+
+
 def test_check_parse_error(tmp_path, capsys, data_dir):
     bad = data_dir.parent / "bad_tmp.alg"
     bad.write_text("algebra A\nelements a\nop f/2 = a a a\nend\n")

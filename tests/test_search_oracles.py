@@ -1,13 +1,14 @@
 """The backtracking search and the free-semigroup retraction step against
 oracles: the search with forward checking only, as it was before forced
-cells were propagated; every bijection for isomorphism, every map for
-retractions, and every map of a truncated free semigroup for
-`search_bounded_retraction`."""
+cells were propagated; the search that propagated forced cells one cell
+at a time, as it was before it ran on closure levels; every bijection
+for isomorphism, every map for retractions, and every map of a truncated
+free semigroup for `search_bounded_retraction`."""
 
 import itertools
 import random
 from collections import Counter
-from typing import Optional
+from typing import Iterable, Optional
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,9 +23,10 @@ from ualg import (
     search_bounded_retraction,
     validate_algebra,
 )
+from ualg.catalog import cyclic_group
 from ualg.core import apply_columns, arg_columns
 from ualg.free_semigroup import ForcedStep, word_str
-from ualg.morphisms import _element_profile, _search_homomorphisms
+from ualg.morphisms import _element_profile, _orbit_sizes, _search_homomorphisms
 
 seeds = st.integers(min_value=0, max_value=2**62 - 1)
 
@@ -101,6 +103,36 @@ def test_isomorphism_of_two_equal_cycles():
     C = validate_algebra("C", elements, [("s", 1, ["c1", "c0", "c3", "c2"])])
     iso = check_isomorphism(C, C)
     assert iso is not None and iso.is_injective
+
+
+def walked_orbit_sizes(step):
+    """Per element, the size of the set met by following step from it."""
+    sizes = []
+    for i in range(len(step)):
+        seen = set()
+        cur = i
+        while cur not in seen:
+            seen.add(cur)
+            cur = step[cur]
+        sizes.append(len(seen))
+    return sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_orbit_sizes_match_walking_each_element(seed):
+    # a few cycles with trees of tails hanging off them, shuffled
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    roots = rng.randint(1, n)
+    step = [rng.randrange(roots) for _ in range(roots)]  # cycles among the roots
+    step += [rng.randrange(i) for i in range(roots, n)]  # tails into earlier elements
+    perm = list(range(n))
+    rng.shuffle(perm)
+    shuffled = [0] * n
+    for i, j in enumerate(step):
+        shuffled[perm[i]] = perm[j]
+    assert _orbit_sizes(shuffled) == walked_orbit_sizes(shuffled)
 
 
 @settings(max_examples=150, deadline=None)
@@ -281,14 +313,145 @@ def smallest_budget(search):
     return hi
 
 
+def propagation_cells(src, dst):
+    """Source elements in fail-first order; per source element the cells
+    that take it as an argument, as (output, target table, args); and
+    per nullary cell its output and the target's constant."""
+    n = len(src.carrier)
+    hits = Counter(v for t in src.tables for v in t)
+    by_arg: list[list] = [[] for _ in range(n)]
+    ground: list[tuple[int, int]] = []
+    for sym, arity in src.signature.symbols:
+        cols = arg_columns(n, arity)
+        outs = src.table(sym)
+        d_table = dst.table(sym)
+        if not cols:
+            ground.append((outs[0], d_table[0]))
+            continue
+        for args, out in zip(list(zip(*cols)), outs):
+            cell = (out, d_table, args)
+            for a in set(args):
+                by_arg[a].append(cell)
+    return sorted(range(n), key=lambda i: (-hits[i], i)), by_arg, ground
+
+
+def propagating_search(src, dst, candidates, fixed=None, injective=False,
+                       stop_after=None, node_budget=10_000_000):
+    """Backtracking with propagation of forced cells, one cell at a time:
+    once every argument of a cell is assigned, its output is assigned the
+    target table's value there (or checked against it), on an undo
+    trail.  Only unassigned elements are branched on, in fail-first
+    order, and only branching assignments count as nodes."""
+    n, k_dst = len(src.carrier), len(dst.carrier)
+    order, by_arg, ground = propagation_cells(src, dst)
+    fixed = fixed or {}
+    allowed = [{fixed[i]} if i in fixed else set(c) for i, c in enumerate(candidates)]
+    assignment: list[Optional[int]] = [None] * n
+    used = [False] * k_dst
+    trail: list[int] = []
+
+    def settle(i: int, v: int) -> bool:
+        w = assignment[i]
+        if w is not None:
+            return w == v
+        if used[v] or v not in allowed[i]:
+            return False
+        assignment[i] = v
+        used[v] = injective
+        trail.append(i)
+        return True
+
+    def propagate(pairs: Iterable[tuple[int, int]]) -> bool:
+        head = len(trail)
+        if not all(settle(i, v) for i, v in pairs):
+            return False
+        while head < len(trail):
+            for out, d_table, args in by_arg[trail[head]]:
+                idx = 0
+                for a in args:
+                    w = assignment[a]
+                    if w is None:
+                        break
+                    idx = idx * k_dst + w
+                else:
+                    w = assignment[out]
+                    if w is None:
+                        if not settle(out, d_table[idx]):
+                            return False
+                    elif w != d_table[idx]:
+                        return False
+            head += 1
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            i = trail.pop()
+            used[assignment[i]] = False
+            assignment[i] = None
+
+    if not propagate([*ground, *fixed.items()]):
+        return []
+    order = [i for i in order if assignment[i] is None]
+    results = []
+    nodes = 0
+    frames: list[tuple[int, int, int]] = []
+    pos, t = 0, 0
+    while True:
+        while pos < len(order) and assignment[order[pos]] is not None:
+            pos += 1
+        if pos == len(order):
+            results.append(tuple(assignment))
+            if stop_after is not None and len(results) >= stop_after:
+                break
+        else:
+            i, mark = order[pos], len(trail)
+            cands = candidates[i]
+            ok = False
+            while not ok and t < len(cands):
+                v = cands[t]
+                t += 1
+                if used[v]:
+                    continue
+                nodes += 1
+                if nodes > node_budget:
+                    what = "isomorphism" if injective else "homomorphism"
+                    raise BudgetExceeded(f"{what} search node budget exceeded")
+                ok = propagate([(i, v)])
+                if not ok:
+                    undo(mark)
+            if ok:
+                frames.append((pos, t, mark))
+                pos, t = pos + 1, 0
+                continue
+        if not frames:
+            break
+        pos, t, mark = frames.pop()
+        undo(mark)
+    return results
+
+
+def assert_search_matches_propagation(src, dst, candidates, **kw):
+    """Same solutions in the same order, and the same smallest budget at
+    which the search finishes."""
+    expected = propagating_search(src, dst, candidates, **kw)
+    assert _search_homomorphisms(src, dst, candidates, **kw) == expected
+    assert smallest_budget(
+        lambda b: _search_homomorphisms(src, dst, candidates, node_budget=b, **kw)
+    ) == smallest_budget(
+        lambda b: propagating_search(src, dst, candidates, node_budget=b, **kw))
+    return expected
+
+
 def assert_search_matches_oracle(src, dst, candidates, **kw):
     """Same solutions in the same order, and the search finishes at
-    every budget at which the oracle does."""
+    every budget at which the oracle does; and exactly the solutions and
+    the budget of the propagating search."""
     expected = oracle_search(src, dst, candidates, **kw)
     assert _search_homomorphisms(src, dst, candidates, **kw) == expected
     budget = smallest_budget(
         lambda b: oracle_search(src, dst, candidates, node_budget=b, **kw))
     assert _search_homomorphisms(src, dst, candidates, node_budget=budget, **kw) == expected
+    assert assert_search_matches_propagation(src, dst, candidates, **kw) == expected
     return expected
 
 
@@ -316,6 +479,8 @@ def test_search_matches_forward_checking(seed):
     every_b = [range(len(b.carrier))] * len(a.carrier)
 
     assert_search_matches_oracle(a, b, every_b)
+    # embeddings: a failing level releases exactly the images it took
+    assert_search_matches_oracle(a, b, every_b, injective=True)
 
     image = generate(a, rng.sample(a.carrier, rng.randint(1, n))).subuniverse
     members = [a.index_of[e] for e in image.members]
@@ -332,3 +497,25 @@ def test_search_matches_forward_checking(seed):
         assert (iso is None) == (not isos)
         if isos:
             assert iso.images == tuple(b.carrier[v] for v in isos[0])
+
+
+def cycle(name, n, extra=0):
+    """The n-cycle under `s`, with `extra` fixed points after it."""
+    elements = [f"{name.lower()}{i}" for i in range(n + extra)]
+    return validate_algebra(name, elements, [
+        ("s", 1, elements[1:n] + elements[:1] + elements[n:])])
+
+
+def test_search_matches_propagation_at_the_packing_limit():
+    # rows are packed as bytes while both carriers have at most 256
+    # elements, and are lists past that
+    C3 = cycle("T", 3)
+    every = range(3)
+    for n, count in ((255, 3), (256, 0), (257, 0)):
+        C = cycle("C", n)
+        assert len(assert_search_matches_propagation(C, C3, [every] * n)) == count
+    C256, C257 = cycle("C", 256), cycle("T", 256, extra=1)
+    assert len(assert_search_matches_propagation(C256, C257, [range(257)] * 256)) == 257
+    Z = cyclic_group(300)
+    (first,) = assert_search_matches_propagation(Z, Z, [range(300)] * 300, stop_after=1)
+    assert first == (0,) * 300
