@@ -127,15 +127,18 @@ def as_row(values: Sequence[int], n: int):
 class Rows(dict):
     """The rows of an operation table over k elements, each built on first
     use: self[r] is `as_row` of the outputs for the argument prefix of
-    row-major index r, one per last argument."""
+    row-major index r, one per last argument.  With `transposed`, a binary
+    table's self[r] is instead the outputs with r as the last argument,
+    one per first argument."""
 
-    def __init__(self, table: Sequence[int], k: int, n: int):
+    def __init__(self, table: Sequence[int], k: int, n: int, transposed: bool = False):
         super().__init__()
-        self.k, self.n = k, n
-        self.table = bytes(table) if n <= PACK_LIMIT else table
+        self.table, self.k, self.n, self.transposed = table, k, n, transposed
 
     def __missing__(self, r: int):
-        self[r] = row = as_row(self.table[r * self.k:(r + 1) * self.k], self.n)
+        k = self.k
+        cells = self.table[r::k] if self.transposed else self.table[r * k:(r + 1) * k]
+        self[r] = row = as_row(cells, self.n)
         return row
 
 
@@ -144,6 +147,28 @@ def gather(row, column):
     if type(row) is bytes:
         return column.translate(row)
     return [row[v] for v in column]
+
+
+def gather_blocks(rows: Rows, keys: Sequence[int], column, k: int):
+    """Block b of a column that `pack` made, its entries b*k..(b+1)*k-1,
+    gathered with rows[keys[b]]; the blocks concatenated in order."""
+    starts = range(0, len(column), k)
+    if type(column) is bytearray:
+        return bytearray().join([column[i:i + k].translate(rows[key])
+                                 for i, key in zip(starts, keys)])
+    out: list[int] = []
+    for i, key in zip(starts, keys):
+        out += gather(rows[key], column[i:i + k])
+    return out
+
+
+def spread(vector, k: int):
+    """Each entry of a vector that `pack` made, repeated k times in place:
+    entry b becomes the block b*k..(b+1)*k-1."""
+    out = vector * k
+    for v in range(k):
+        out[v::k] = vector
+    return out
 
 
 def weighted_sum(vectors: Sequence, weights: Sequence[int], n: int):

@@ -119,6 +119,12 @@ class CloneFragment:
         return {m.table for m in self.members}
 
 
+# The most cells, n * k**n, that the n projections of a clone fragment
+# over k elements may hold; beyond it clone_n raises BudgetExceeded
+# before it builds them.
+MAX_PROJECTION_CELLS = 1 << 20
+
+
 def clone_n(alg: FiniteAlgebra, n: int, budget: int = 1_000_000) -> CloneFragment:
     """The n-ary clone fragment: closure of the n projections under
     composition with the basic operations, tracked as value tables and
@@ -126,11 +132,18 @@ def clone_n(alg: FiniteAlgebra, n: int, budget: int = 1_000_000) -> CloneFragmen
     actually made (the commutative skip makes fewer, so a budget-cut
     fragment can gain members); on overrun the partial fragment is
     returned with complete=False.  A complete fragment does not depend
-    on the budget."""
+    on the budget.  Projections of more than MAX_PROJECTION_CELLS cells
+    raise BudgetExceeded whatever the budget."""
     if n < 1:
         raise UalgError("clone arity must be >= 1")
+    k = len(alg.carrier)
+    # with k >= 2, k**bit_length alone exceeds the limit, so the capped
+    # exponent decides the same without a huge power; with k == 1 n does
+    if n * k ** min(n, MAX_PROJECTION_CELLS.bit_length()) > MAX_PROJECTION_CELLS:
+        raise BudgetExceeded(f"clone arity {n} over {k} elements: the projections "
+                             f"need more than {MAX_PROJECTION_CELLS} cells")
     # a repeated projection column (one element) keeps its last variable
-    projections = {tuple(col): Var(i) for i, col in enumerate(arg_columns(len(alg.carrier), n))}
+    projections = {tuple(col): Var(i) for i, col in enumerate(arg_columns(k, n))}
     tables, derivations, _, complete = close(alg, list(projections), budget)
     terms = list(projections.values())
     for sym, args in derivations[len(terms):]:

@@ -388,8 +388,11 @@ def enumerate_homomorphisms(
     mode: Literal["list", "count", "first"] = "list",
     node_budget: int = 10_000_000,
 ):
-    """All homomorphisms src -> dst in lexicographic order of the image
-    tuple (source carrier order).  mode: "list", "count", or "first"."""
+    """Homomorphisms src -> dst.  mode "list": all of them, sorted by
+    image tuple (source carrier order); "count": their number; "first":
+    the first one the search meets, or None.  The search takes elements
+    in its own fail-first order, so that map need not be the first of
+    the sorted list."""
     stop = 1 if mode == "first" else None
     every = range(len(dst.carrier))
     raw = _search_homomorphisms(

@@ -10,7 +10,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .core import FiniteAlgebra, UalgError, UnknownElement, apply_columns
+from .core import (FiniteAlgebra, Rows, UalgError, UnknownElement, apply_columns, gather,
+                   gather_blocks, pack, spread)
 
 
 class TermError(UalgError):
@@ -176,79 +177,168 @@ class SatisfactionResult:
     counterexample: Optional[dict[str, str]] = None
 
 
-# Bindings are numbered row-major over the declared variables (the first
-# variable most significant), so binding t gives variable i the carrier
-# index (t // k**(n-1-i)) % k.  Equations are checked over consecutive
-# ranges of t: the first range is short, so an early counterexample costs
-# little, and each later one is as long as all before it, up to a cap
-# that bounds the memory of the per-node value lists.
-_FIRST_RANGE = 64
+# An identity holds iff it holds under every assignment of the variables
+# that occur in it, so bindings range over those, U, and are numbered
+# row-major (the first variable most significant): binding t gives U[j]
+# the carrier index (t // k**(m-1-j)) % k, m = |U|.  A declared variable
+# outside U takes index 0; the first violating binding over the declared
+# variables then sets it to 0 too, so the report is unchanged.
+#
+# A block is the k consecutive bindings in which only the last variable
+# of U changes.  A node that does not depend on that variable is *outer*
+# and holds one value per block; every other node is *full* and holds one
+# per binding.  Equations are checked over ranges of whole blocks: the
+# first range is short, so an early counterexample costs little, and each
+# later one is as long as all before it, up to a cap that bounds the
+# memory of the per-node vectors.
+_FIRST_RANGE = 64  # bindings, rounded down to whole blocks, at least one
 _MAX_RANGE = 4096
+
+# step codes of a law's plan (see _plan)
+_LAST, _VAR, _CONST, _UNARY, _BLOCKS, _OUTER, _FULL = range(7)
 
 
 def _compile(
     alg: FiniteAlgebra,
     term: Term,
     n: int,
-    slots: dict[Term, int],
+    slots: dict,
     program: list[tuple],
 ) -> int:
-    """Append the nodes of `term` not yet in `slots` to `program`, children
-    first, and return the slot of its value.  Raises the TermError that
-    eval_term would raise first on this term (pre-order, left to right)."""
-    slot = slots.get(term)
-    if slot is not None:
-        return slot
+    """Append the nodes of `term` not yet in `program` to it, children
+    first, and return the slot of its value.  A node is (None, variable
+    index) or (table, argument slots); `slots` maps the variable index or
+    (symbol, argument slots) of each node to its slot, so a repeated
+    subterm has one.  Raises the TermError that eval_term would raise
+    first on this term (pre-order, left to right)."""
     if isinstance(term, Var):
         if not 0 <= term.index < n:
             raise TermError(f"unbound variable index {term.index}")
-        step = (None, len(alg.carrier) ** (n - 1 - term.index))
+        key, step = term.index, (None, term.index)
     else:
         _check_app(alg, term)
         args = tuple(_compile(alg, a, n, slots, program) for a in term.args)
-        step = (alg.table(term.symbol), args)
-    slots[term] = slot = len(program)
-    program.append(step)
+        key, step = (term.symbol, args), (alg.table(term.symbol), args)
+    slot = slots.get(key)
+    if slot is None:
+        slots[key] = slot = len(program)
+        program.append(step)
     return slot
 
 
-def _run(program: list[tuple], k: int, start: int, stop: int) -> list[list[int]]:
-    """The value list of every program node over bindings start..stop-1."""
-    values: list[list[int]] = []
+def _rows(rows: dict[tuple[int, bool], Rows], table: Sequence[int], k: int,
+          transposed: bool) -> Rows:
+    """The `core.Rows` of a table in one orientation, made on first use."""
+    key = (id(table), transposed)
+    if key not in rows:
+        rows[key] = Rows(table, k, k, transposed)
+    return rows[key]
+
+
+def _plan(program: list[tuple], used: list[int], k: int,
+          rows: dict[tuple[int, bool], Rows]) -> tuple[list[tuple], list[bool]]:
+    """One pass over a compiled program: each node's step for `_run`, and
+    whether it is full.  `rows` holds the table rows built so far, keyed
+    by table identity and orientation."""
+    last = used[-1] if used else None
+    stride = {v: k ** (len(used) - 2 - j) for j, v in enumerate(used[:-1])}
+    steps: list[tuple] = []
+    full: list[bool] = []
     for table, arg in program:
-        if table is None:  # a variable; arg is its stride
-            values.append([(t // arg) % k for t in range(start, stop)])
+        if table is None:
+            is_full = arg == last
+            step = (_LAST, None, None) if is_full else (_VAR, stride[arg], None)
+        elif len(arg) == 2 and full[arg[0]] != full[arg[1]]:
+            is_full, transposed = True, full[arg[0]]
+            step = (_BLOCKS, _rows(rows, table, k, transposed),
+                    arg[::-1] if transposed else arg)
+        elif len(arg) == 1:
+            is_full = full[arg[0]]
+            step = (_UNARY, _rows(rows, table, k, False)[0], arg[0])
+        elif not arg:
+            is_full, step = False, (_CONST, table[0], None)
         else:
-            values.append(apply_columns(table, k, [values[j] for j in arg], stop - start))
+            kinds = [full[a] for a in arg]
+            is_full = any(kinds)
+            step = (_FULL, table, tuple(zip(arg, kinds))) if is_full else (_OUTER, table, arg)
+        steps.append(step)
+        full.append(is_full)
+    return steps, full
+
+
+def _run(steps: list[tuple], k: int, first: int, blocks: int) -> list:
+    """The vector of every node over blocks first..first+blocks-1, made by
+    `core.pack`: one value per block for an outer node, one per binding,
+    block after block, for a full one.  The last variable is the carrier
+    repeated; another variable or a constant is one value per block.  A
+    unary node is one gather; a node on outer arguments applies its table
+    once per block; a binary node on one outer and one full argument
+    gathers each block with the row of the outer value; any other node
+    spreads its outer arguments to full and applies its table per
+    binding."""
+    values: list = []
+    for code, x, arg in steps:
+        if code == _LAST:
+            value = pack(range(k), k) * blocks
+        elif code == _VAR:
+            value = pack([(b // x) % k for b in range(first, first + blocks)], k)
+        elif code == _CONST:
+            value = pack((x,), k) * blocks
+        elif code == _UNARY:
+            value = gather(x, values[arg])
+        elif code == _BLOCKS:
+            value = gather_blocks(x, values[arg[0]], values[arg[1]], k)
+        elif code == _OUTER:
+            value = pack(apply_columns(x, k, [values[a] for a in arg], blocks), k)
+        else:
+            cols = [values[a] if f else spread(values[a], k) for a, f in arg]
+            value = pack(apply_columns(x, k, cols), k)
+        values.append(value)
     return values
 
 
-def satisfies(alg: FiniteAlgebra, eq: Equation) -> SatisfactionResult:
-    """Check every binding of the declared variables.  The first violating
-    binding in lexicographic order is reported.
-
-    Both sides are evaluated into lists of carrier indices over ranges of
-    bindings, each shared subterm once per range."""
+def _satisfies(alg: FiniteAlgebra, eq: Equation,
+               rows: dict[tuple[int, bool], Rows]) -> SatisfactionResult:
     n = len(eq.variables)
-    slots: dict[Term, int] = {}
+    slots: dict = {}
     program: list[tuple] = []
     lhs = _compile(alg, eq.lhs, n, slots, program)
     rhs = _compile(alg, eq.rhs, n, slots, program)
     k = len(alg.carrier)
-    total = k**n
+    used = sorted({arg for table, arg in program if table is None})
+    steps, full = _plan(program, used, k, rows)
+    m = len(used)
+    total = k ** (m - 1) if m else 1
+    first_range = max(1, _FIRST_RANGE // k)
+    max_range = max(1, _MAX_RANGE // k)
     start = 0
     while start < total:
-        stop = min(total, start + min(max(start, _FIRST_RANGE), _MAX_RANGE))
-        values = _run(program, k, start, stop)
+        blocks = min(total - start, max(start, first_range), max_range)
+        values = _run(steps, k, start, blocks)
         left, right = values[lhs], values[rhs]
+        if full[lhs] != full[rhs]:
+            left, right = (left, spread(right, k)) if full[lhs] else (spread(left, k), right)
         if left != right:
-            t = start + next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
-            named = {
-                eq.variables[i]: alg.carrier[(t // k ** (n - 1 - i)) % k] for i in range(n)
-            }
+            # a side is full once a variable occurs; with none, t is 0
+            t = start * k + next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
+            value = {v: (t // k ** (m - 1 - i)) % k for i, v in enumerate(used)}
+            named = {name: alg.carrier[value.get(i, 0)] for i, name in enumerate(eq.variables)}
             return SatisfactionResult(False, named)
-        start = stop
+        start += blocks
     return SatisfactionResult(True)
+
+
+def satisfies(alg: FiniteAlgebra, eq: Equation) -> SatisfactionResult:
+    """Check every binding of the declared variables.  The first violating
+    binding in lexicographic order is reported, every declared variable
+    named.
+
+    Only the variables that occur in the equation are bound: declared
+    ones that do not occur take the first carrier element.  Both sides
+    are evaluated into packed vectors over ranges of whole blocks of the
+    last variable that occurs, each shared subterm once per range, with
+    row gathers where an argument holds one value per block."""
+    return _satisfies(alg, eq, {})
 
 
 @dataclass(frozen=True)
@@ -266,10 +356,12 @@ def satisfies_all(alg: FiniteAlgebra, eqs: EquationSet, workers: int = 1) -> Sat
     """Per-equation verdicts in equation order; "variety member" iff all pass.
 
     workers is accepted for compatibility and ignored: the check runs in
-    one thread, and the result never depends on it.
+    one thread, and the result never depends on it.  The laws share the
+    table rows that their checks build.
     """
+    rows: dict[tuple[int, bool], Rows] = {}
     return SatisfactionReport(
         algebra=alg.name,
         equation_set=eqs.name,
-        results=tuple((eq, satisfies(alg, eq)) for eq in eqs.equations),
+        results=tuple((eq, _satisfies(alg, eq, rows)) for eq in eqs.equations),
     )

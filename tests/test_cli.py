@@ -207,6 +207,14 @@ def assert_one_line_input_error(code, out, err, message):
     assert err == message + "\n"
 
 
+def test_clone_arity_past_the_projection_limit(capsys):
+    # 30 projections of 2**30 cells each are refused before any is built
+    code, out, err = run(capsys, "--budget", "10", "clone", BO, "--algebra", "B",
+                         "--arity", "30")
+    assert_one_line_input_error(code, out, err, "clone arity 30 over 2 elements: the "
+                                "projections need more than 1048576 cells")
+
+
 def test_eval_unknown_element(capsys):
     code, out, err = run(capsys, "eval", BO, "--algebra", "O",
                          "--term", "and(x,y)", "--bind", "x=zz,y=b1")

@@ -7,8 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ualg import App, Equation, TermError, Var, eval_term, satisfies, validate_algebra
-from ualg.catalog import boolean_2
+from ualg import (App, Equation, TermError, Var, eval_term, parse_term, satisfies,
+                  validate_algebra)
+from ualg.catalog import boolean_2, one_element
 from ualg.terms import SatisfactionResult
 from conftest import random_algebra
 
@@ -116,3 +117,75 @@ def test_term_errors_match_oracle(lhs, rhs, message):
     B = boolean_2()
     eq = Equation(lhs, rhs, ("x",))
     assert outcome(satisfies, B, eq) == outcome(oracle_satisfies, B, eq) == f"TermError: {message}"
+
+
+def parse_eq(text, variables):
+    lhs, rhs = text.split("=")
+    return Equation(parse_term(lhs, variables), parse_term(rhs, variables), variables)
+
+
+def marked_group(k):
+    """Z_k under mul, inv and one, plus m/2, which is e1 at (e[k-1], e[k-2])
+    only and e0 elsewhere, and the constant c = e1."""
+    elems = [f"e{i}" for i in range(k)]
+    m = ["e0"] * (k * k)
+    m[(k - 1) * k + k - 2] = "e1"
+    return validate_algebra(f"Z{k}", elems, [
+        ("one", 0, ["e0"]), ("c", 0, ["e1"]), ("inv", 1, [elems[-i % k] for i in range(k)]),
+        ("mul", 2, [elems[(i + j) % k] for i in range(k) for j in range(k)]), ("m", 2, m)])
+
+
+@pytest.mark.parametrize("k", [255, 256, 257])
+def test_satisfies_at_the_packing_limit(k):
+    # vectors are packed as bytes up to 256 elements and are lists past that
+    A = marked_group(k)
+    xyz = ("x", "y", "z")
+    last, before = f"e{k - 1}", f"e{k - 2}"
+    holding = ["mul(x, y) = mul(y, x)", "inv(inv(y)) = y", "mul(x, inv(x)) = one()",
+               "m(y, y) = one()", "mul(inv(y), mul(y, x)) = x", "m(x, m(y, x)) = one()"]
+    for law in holding:
+        assert satisfies(A, parse_eq(law, xyz)) == SatisfactionResult(True), law
+    failing = {  # law: (x, y), the others at e0
+        "m(x, y) = one()": (last, before),             # the outer value first
+        "m(y, x) = one()": (before, last),             # the outer value second
+        "m(x, mul(y, one())) = m(y, x)": (before, last),
+        "mul(x, y) = x": ("e0", "e1"),
+        "mul(x, x) = x": ("e1", "e0"),                 # x is the last variable
+        "m(mul(x, y), y) = mul(m(x, y), one())": ("e1", before),
+        "inv(c()) = c()": ("e0", "e0"),
+    }
+    for law, (x, y) in failing.items():
+        res = satisfies(A, parse_eq(law, xyz))
+        assert res == SatisfactionResult(False, {"x": x, "y": y, "z": "e0"}), law
+
+
+def test_unused_declared_variables_name_the_first_element():
+    A = marked_group(5)
+    variables = ("w", "x", "y", "z")
+    # only x and z occur; w and y take e0 in the counterexample
+    eq = parse_eq("m(x, z) = one()", variables)
+    res = satisfies(A, eq)
+    assert res == oracle_satisfies(A, eq)
+    assert res.counterexample == {"w": "e0", "x": "e4", "y": "e0", "z": "e3"}
+    eq = parse_eq("mul(z, z) = z", variables)
+    assert satisfies(A, eq) == oracle_satisfies(A, eq) == SatisfactionResult(
+        False, {"w": "e0", "x": "e0", "y": "e0", "z": "e1"})
+
+
+def test_law_without_variables():
+    A = marked_group(5)
+    for variables in ((), ("x",), ("x", "y")):
+        named = {v: "e0" for v in variables}
+        fails = parse_eq("c() = one()", variables)
+        holds = parse_eq("mul(c(), inv(c())) = one()", variables)
+        assert satisfies(A, fails) == oracle_satisfies(A, fails) == SatisfactionResult(False, named)
+        assert satisfies(A, holds) == oracle_satisfies(A, holds) == SatisfactionResult(True)
+
+
+def test_one_element_algebra():
+    A = one_element([("one", 0), ("inv", 1), ("mul", 2), ("t", 3)])
+    laws = ["mul(x, mul(y, z)) = mul(mul(x, y), z)", "t(x, y, z) = t(z, inv(y), one())",
+            "mul(x, y) = x", "one() = inv(one())"]
+    for law in laws:
+        eq = parse_eq(law, ("x", "y", "z"))
+        assert satisfies(A, eq) == oracle_satisfies(A, eq) == SatisfactionResult(True)

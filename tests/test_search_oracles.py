@@ -18,6 +18,7 @@ from ualg import (
     build_truncated,
     check_homomorphism,
     check_isomorphism,
+    enumerate_homomorphisms,
     find_retractions,
     generate,
     search_bounded_retraction,
@@ -497,6 +498,30 @@ def test_search_matches_forward_checking(seed):
         assert (iso is None) == (not isos)
         if isos:
             assert iso.images == tuple(b.carrier[v] for v in isos[0])
+
+
+def test_first_homomorphism_need_not_lead_the_list():
+    # "first" is the first map the search meets in its fail-first order
+    a = make_algebra("A", ["a0", "a1", "a2", "a3"], [("f", 1)], [[2, 2, 1, 0]])
+    b = make_algebra("B", ["b0", "b1", "b2"], [("f", 1)], [[1, 0, 2]])
+    every = [h.images for h in enumerate_homomorphisms(a, b)]
+    assert every[0] == ("b0", "b0", "b1", "b1")
+    assert enumerate_homomorphisms(a, b, mode="first").images == ("b1", "b1", "b0", "b0")
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_first_homomorphism_is_one_of_the_list(seed):
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 5), rng.randint(1, 5)
+    symbols = [(f"f{i}", rng.randint(0, 2)) for i in range(rng.randint(1, 3))]
+    a = make_algebra("A", [f"a{i}" for i in range(n)], symbols, random_tables(rng, n, symbols))
+    b = make_algebra("B", [f"b{i}" for i in range(m)], symbols, random_tables(rng, m, symbols))
+    every = enumerate_homomorphisms(a, b)
+    first = enumerate_homomorphisms(a, b, mode="first")
+    assert (first is None) == (not every)
+    assert first is None or first in every
+    assert enumerate_homomorphisms(a, b, mode="count") == len(every)
 
 
 def cycle(name, n, extra=0):
