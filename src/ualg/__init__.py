@@ -44,16 +44,13 @@ from .generation import (
     GenerationTrace,
     all_subuniverses,
     clone_n,
-    directed_union_check,
     finiteness_report,
     generate,
 )
 from .morphisms import (
     Morphism,
-    PartialMorphism,
     check_homomorphism,
     check_isomorphism,
-    check_partial_homomorphism,
     enumerate_homomorphisms,
     find_retractions,
     reduct,

@@ -13,7 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import FiniteAlgebra, InvalidAlgebra, Subuniverse, UalgError
 from .fileformat import (
@@ -25,8 +25,6 @@ from .fileformat import (
 from .free_semigroup import build_truncated, search_bounded_retraction, word_str
 from .generation import clone_n, generate
 from .morphisms import (
-    Morphism,
-    check_homomorphism,
     check_isomorphism,
     enumerate_homomorphisms,
     find_retractions,
@@ -95,11 +93,17 @@ def _load_equations(path: str, name: str):
         raise CliError(f"{path}: {exc}")
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, human: Callable[[], str]) -> None:
+    """Print the payload as JSON under --json, else the human text,
+    which is only built when it is printed."""
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        print(human)
+        print(human())
+
+
+def _render_maps(maps: list[dict[str, str]]) -> str:
+    return "\n".join(" ".join(f"{k}->{v}" for k, v in m.items()) for m in maps)
 
 
 def cmd_check(args) -> int:
@@ -116,7 +120,7 @@ def cmd_check(args) -> int:
             for a in algs
         ]
     }
-    _emit(args, payload, "\n".join(lines) if lines else "no algebras")
+    _emit(args, payload, lambda: "\n".join(lines) if lines else "no algebras")
     return 0
 
 
@@ -134,7 +138,7 @@ def cmd_eval(args) -> int:
     term = parse_term(args.term, variables)
     binding = {i: binding_named[v] for i, v in enumerate(variables)}
     result = eval_term(alg, term, binding)
-    _emit(args, {"result": result}, result)
+    _emit(args, {"result": result}, lambda: result)
     return 0
 
 
@@ -142,22 +146,17 @@ def cmd_satisfies(args) -> int:
     alg = _pick(_load_algebras(args.file), args.algebra, args.file)
     eqs = _load_equations(args.equations, name=args.equations)
     report = satisfies_all(alg, eqs, workers=args.workers)
-    rows = []
-    payload_rows = []
-    for eq, res in report.results:
-        rows.append(f"{'pass' if res.holds else 'FAIL'}  {eq.render()}"
-                    + (f"  counterexample {res.counterexample}" if res.counterexample else ""))
-        payload_rows.append(
-            {"equation": eq.render(), "holds": res.holds,
-             "counterexample": res.counterexample}
-        )
-    verdict = "variety member" if report.variety_member else "not a member"
-    _emit(
-        args,
-        {"algebra": alg.name, "equations": eqs.name,
-         "variety_member": report.variety_member, "results": payload_rows},
-        "\n".join(rows + [verdict]),
-    )
+    payload_rows = [{"equation": eq.render(), "holds": res.holds,
+                     "counterexample": res.counterexample} for eq, res in report.results]
+
+    def human() -> str:
+        rows = [f"{'pass' if r['holds'] else 'FAIL'}  {r['equation']}"
+                + (f"  counterexample {r['counterexample']}" if r["counterexample"] else "")
+                for r in payload_rows]
+        return "\n".join(rows + ["variety member" if report.variety_member else "not a member"])
+
+    _emit(args, {"algebra": alg.name, "equations": eqs.name,
+                 "variety_member": report.variety_member, "results": payload_rows}, human)
     return 0 if report.variety_member else FALSE_VERDICT
 
 
@@ -166,12 +165,11 @@ def cmd_gen(args) -> int:
     seed = [e for e in (args.elements.split(",") if args.elements else []) if e]
     result = generate(alg, seed)
     stages = [list(s) for s in result.trace.stages]
-    human = "\n".join(
-        [f"stage {i}: {' '.join(s) or '(empty)'}" for i, s in enumerate(stages)]
-        + [("generated: " + (" ".join(result.members) or "empty -- not an algebra"))]
-    )
     _emit(args, {"algebra": alg.name, "seed": seed, "stages": stages,
-                 "members": list(result.members), "empty": result.is_empty}, human)
+                 "members": list(result.members), "empty": result.is_empty},
+          lambda: "\n".join(
+              [f"stage {i}: {' '.join(s) or '(empty)'}" for i, s in enumerate(stages)]
+              + [("generated: " + (" ".join(result.members) or "empty -- not an algebra"))]))
     return 0
 
 
@@ -181,22 +179,13 @@ def cmd_clone(args) -> int:
     from .terms import term_to_str
 
     variables = [f"x{i+1}" for i in range(args.arity)]
-    rows = [
-        f"{' '.join(alg.carrier[v] for v in m.table)}  <- {term_to_str(m.witness, variables)}"
-        for m in frag.members
-    ]
-    payload = {
-        "algebra": alg.name,
-        "arity": frag.arity,
-        "complete": frag.complete,
-        "members": [
-            {"table": [alg.carrier[v] for v in m.table],
-             "witness": term_to_str(m.witness, variables)}
-            for m in frag.members
-        ],
-    }
-    _emit(args, payload, "\n".join(rows + [f"{len(frag.members)} members"
-                                           + ("" if frag.complete else " (partial)")]))
+    members = [{"table": list(map(alg.carrier.__getitem__, m.table)),
+                "witness": term_to_str(m.witness, variables)} for m in frag.members]
+    payload = {"algebra": alg.name, "arity": frag.arity, "complete": frag.complete,
+               "members": members}
+    _emit(args, payload, lambda: "\n".join(
+        [f"{' '.join(m['table'])}  <- {m['witness']}" for m in members]
+        + [f"{len(members)} members" + ("" if frag.complete else " (partial)")]))
     return 0
 
 
@@ -209,14 +198,11 @@ def cmd_homs(args) -> int:
     dst = _pick(algs, names[1], args.file)
     if args.count:
         n = enumerate_homomorphisms(src, dst, mode="count", node_budget=args.budget)
-        _emit(args, {"count": n}, str(n))
+        _emit(args, {"count": n}, lambda: str(n))
         return 0 if n else FALSE_VERDICT
     homs = enumerate_homomorphisms(src, dst, mode="list", node_budget=args.budget)
-    payload = {"homomorphisms": [m.as_dict() for m in homs]}
-    human = "\n".join(
-        " ".join(f"{k}->{v}" for k, v in m.as_dict().items()) for m in homs
-    ) or "none"
-    _emit(args, payload, human)
+    maps = [m.as_dict() for m in homs]
+    _emit(args, {"homomorphisms": maps}, lambda: _render_maps(maps) or "none")
     return 0 if homs else FALSE_VERDICT
 
 
@@ -229,10 +215,11 @@ def cmd_iso(args) -> int:
     b = _pick(algs, names[1], args.file)
     iso = check_isomorphism(a, b, node_budget=args.budget)
     if iso is None:
-        _emit(args, {"isomorphic": False, "map": None}, "not isomorphic")
+        _emit(args, {"isomorphic": False, "map": None}, lambda: "not isomorphic")
         return FALSE_VERDICT
-    _emit(args, {"isomorphic": True, "map": iso.as_dict()},
-          "isomorphic: " + " ".join(f"{k}->{v}" for k, v in iso.as_dict().items()))
+    iso_map = iso.as_dict()
+    _emit(args, {"isomorphic": True, "map": iso_map},
+          lambda: "isomorphic: " + _render_maps([iso_map]))
     return 0
 
 
@@ -244,11 +231,8 @@ def cmd_retracts(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
     retractions = find_retractions(alg, image, node_budget=args.budget)
-    payload = {"retractions": [m.as_dict() for m in retractions]}
-    human = "\n".join(
-        " ".join(f"{k}->{v}" for k, v in m.as_dict().items()) for m in retractions
-    ) or "no retraction"
-    _emit(args, payload, human)
+    maps = [m.as_dict() for m in retractions]
+    _emit(args, {"retractions": maps}, lambda: _render_maps(maps) or "no retraction")
     return 0 if retractions else FALSE_VERDICT
 
 
@@ -256,7 +240,8 @@ def cmd_reduct(args) -> int:
     alg = _pick(_load_algebras(args.file), args.algebra, args.file)
     keep = [s for s in args.keep.split(",") if s]
     out = reduct(alg, keep, name=args.name)
-    _emit(args, {"algebra": serialize_algebra(out)}, serialize_algebra(out).rstrip("\n"))
+    text = serialize_algebra(out)
+    _emit(args, {"algebra": text}, lambda: text.rstrip("\n"))
     return 0
 
 
@@ -274,13 +259,9 @@ def cmd_product(args) -> int:
         {"factor": f.name, "map": m.as_dict()}
         for f, m in zip(prod.factors, prod.projections)
     ]
-    payload = {
-        "algebra": serialize_algebra(prod.product),
-        "relabel": relabel,
-        "projections": projections,
-    }
-    human = serialize_algebra(prod.product).rstrip("\n") + "\n# relabel: " + json.dumps(relabel)
-    _emit(args, payload, human)
+    text = serialize_algebra(prod.product)
+    _emit(args, {"algebra": text, "relabel": relabel, "projections": projections},
+          lambda: text.rstrip("\n") + "\n# relabel: " + json.dumps(relabel))
     return 0
 
 
@@ -301,10 +282,10 @@ def cmd_free_retract(args) -> int:
     if result.found is not None:
         payload = {"found": {word_str(w): word_str(v) for w, v in sorted(result.found.items())},
                    "transcript": transcript}
-        _emit(args, payload, "retraction found")
+        _emit(args, payload, lambda: "retraction found")
         return 0
-    human = "\n".join(["no bounded retraction"] + [s["note"] for s in transcript])
-    _emit(args, {"found": None, "transcript": transcript}, human)
+    _emit(args, {"found": None, "transcript": transcript},
+          lambda: "\n".join(["no bounded retraction"] + [s["note"] for s in transcript]))
     return FALSE_VERDICT
 
 
@@ -317,33 +298,27 @@ def cmd_rp(args) -> int:
     gens = _parse_gens(alg, args.gen)
     if args.rp_command == "adjoin":
         ext = adjoin_generate(alg, gens, budget=args.budget)
-        rows = [f"{label}  = {seq.render()}" for label, seq in ext.labels]
-        payload = {
-            "base": alg.name,
-            "members": [{"label": label, "sequence": seq.render()} for label, seq in ext.labels],
-            "algebra": serialize_algebra(ext.algebra),
-        }
-        _emit(args, payload, "\n".join(rows + [f"{len(ext.members)} members"]))
+        members = [{"label": label, "sequence": seq.render()} for label, seq in ext.labels]
+        payload = {"base": alg.name, "members": members,
+                   "algebra": serialize_algebra(ext.algebra)}
+        _emit(args, payload, lambda: "\n".join(
+            [f"{m['label']}  = {m['sequence']}" for m in members]
+            + [f"{len(ext.members)} members"]))
         return 0
     if args.rp_command == "retract":
         ext = adjoin_generate(alg, gens, budget=args.budget)
         r = coordinate_retraction(ext, args.index)
-        _emit(args, {"index": args.index, "map": r.as_dict()},
-              " ".join(f"{k}->{v}" for k, v in r.as_dict().items()))
+        r_map = r.as_dict()
+        _emit(args, {"index": args.index, "map": r_map}, lambda: _render_maps([r_map]))
         return 0
     if args.rp_command == "preserve":
         eqs = _load_equations(args.equations, name=args.equations)
         report = preservation_suite(alg, eqs, gens, budget=args.budget)
-        rows = [f"{'pass' if res.holds else 'FAIL'}  {eq.render()}"
-                for eq, res in report.results]
-        payload = {
-            "base": alg.name,
-            "equations": eqs.name,
-            "all_pass": report.variety_member,
-            "results": [{"equation": eq.render(), "holds": res.holds}
-                        for eq, res in report.results],
-        }
-        _emit(args, payload, "\n".join(rows))
+        results = [{"equation": eq.render(), "holds": res.holds} for eq, res in report.results]
+        payload = {"base": alg.name, "equations": eqs.name,
+                   "all_pass": report.variety_member, "results": results}
+        _emit(args, payload, lambda: "\n".join(
+            f"{'pass' if r['holds'] else 'FAIL'}  {r['equation']}" for r in results))
         return 0 if report.variety_member else FALSE_VERDICT
     raise CliError(f"unknown rp subcommand: {args.rp_command}")
 

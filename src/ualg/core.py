@@ -12,7 +12,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence, Union
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -22,7 +23,7 @@ class UalgError(Exception):
 
 
 class InvalidAlgebra(UalgError):
-    """Raised by validate_algebra; carries the full list of violations."""
+    """Raised by build_algebra; carries the full list of violations."""
 
     def __init__(self, problems: Sequence[str]):
         self.problems = list(problems)
@@ -106,6 +107,10 @@ def apply_columns(table: Sequence[int], k: int, columns: Sequence[Sequence[int]]
         idx = [i * k + b for i, b in zip(idx, col)]
     return [table[i] for i in idx]
 
+
+# The most cells one operation table built from other algebras may hold;
+# `direct_product` raises BudgetExceeded before it builds a larger one.
+MAX_TABLE_CELLS = 1 << 22
 
 PACK_LIMIT = 256  # indices below this fit in a byte, so their vectors are packed as bytes
 
@@ -263,16 +268,58 @@ def validate_algebra(
     element names).  Raises InvalidAlgebra listing every violated
     invariant; never returns a partially valid algebra.
     """
+    index = dict(zip(elements, range(len(elements))))
+    return build_algebra(name, elements, [
+        (sym, arity, index_table(index, (values,), sym, arity, len(elements))[0])
+        for sym, arity, values in operations])
+
+
+def index_table(index: dict[str, int], chunks: Iterable[Sequence[str]], symbol: str,
+                arity: int, k: int) -> tuple[Union[tuple[int, ...], str], int]:
+    """The value table of symbol/arity over k elements, given as element
+    names in consecutive chunks, mapped through index: (the table of
+    carrier indices, or the problem with it; the number of names).  The
+    problem is a size mismatch, else the first name not in index."""
+    parts, found, unknown = [], 0, None
+    for names in chunks:
+        found += len(names)
+        if unknown is None:
+            try:  # one itemgetter call maps a chunk in C; it returns a bare value for one name
+                parts.append(itemgetter(*names)(index) if len(names) > 1
+                             else tuple(map(index.__getitem__, names)))
+            except KeyError as exc:
+                unknown = exc.args[0]
+    expected = k**arity
+    if found != expected:
+        return (f"table size mismatch: expected {expected}, found {found} for {symbol}/{arity}",
+                found)
+    if unknown is not None:
+        return f"unknown element in table for {symbol}/{arity}: {unknown}", found
+    return (parts[0] if len(parts) == 1 else tuple(itertools.chain.from_iterable(parts))), found
+
+
+def build_algebra(name: str, elements: Sequence[str],
+                  operations: Sequence[tuple[str, int, Union[tuple[int, ...], str]]],
+                  idents_checked: bool = False) -> FiniteAlgebra:
+    """Check the carrier and the symbols and build a FiniteAlgebra.
+
+    operations is a sequence of (symbol, arity, table) with each table as
+    `index_table` gives it: carrier indices, or the problem found in it.
+    Raises InvalidAlgebra listing the carrier problems, the symbol
+    problems and the table problems, in that order.  idents_checked says
+    that every element is already known to match IDENT_RE.
+    """
     problems: list[str] = []
     if not elements:
         problems.append("empty carrier")
-    seen = set()
-    for e in elements:
-        if not IDENT_RE.match(e):
-            problems.append(f"bad element token: {e!r}")
-        if e in seen:
-            problems.append(f"duplicate urelement: {e}")
-        seen.add(e)
+    if not idents_checked or len(set(elements)) < len(elements):
+        seen = set()
+        for e in elements:
+            if not idents_checked and not IDENT_RE.match(e):
+                problems.append(f"bad element token: {e!r}")
+            if e in seen:
+                problems.append(f"duplicate urelement: {e}")
+            seen.add(e)
 
     sym_seen = set()
     for sym, arity, _ in operations:
@@ -281,28 +328,13 @@ def validate_algebra(
         sym_seen.add(sym)
         if arity < 0:
             problems.append(f"negative arity for {sym}")
-
-    k = len(elements)
-    index = {e: i for i, e in enumerate(elements)}
-    tables = []
-    for sym, arity, values in operations:
-        expected = k**arity
-        if len(values) != expected:
-            problems.append(
-                f"table size mismatch: expected {expected}, found {len(values)} for {sym}/{arity}"
-            )
-            tables.append(None)
-            continue
-        try:
-            tables.append(tuple(map(index.__getitem__, values)))
-        except KeyError as exc:
-            problems.append(f"unknown element in table for {sym}/{arity}: {exc.args[0]}")
-            tables.append(None)
+    problems += [table for _, _, table in operations if type(table) is str]
 
     if problems:
         raise InvalidAlgebra(problems)
     sig = Signature(tuple((sym, arity) for sym, arity, _ in operations))
-    return FiniteAlgebra(name=name, carrier=tuple(elements), signature=sig, tables=tuple(tables))
+    return FiniteAlgebra(name=name, carrier=tuple(elements), signature=sig,
+                         tables=tuple(table for _, _, table in operations))
 
 
 def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optional[int] = None

@@ -21,7 +21,7 @@ Equation file:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Iterator
 
 from .core import IDENT_RE, FiniteAlgebra, InvalidAlgebra, UalgError
 from .terms import Equation, EquationSet, TermError, parse_term, term_to_str
@@ -43,25 +43,52 @@ def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0]
 
 
+# An `op` line's values are split this many characters at a time, cut at
+# whitespace, so parsing keeps one chunk of tokens, not a line of them.
+CHUNK = 1 << 14
+
+_SPACE_RE = re.compile(r"\s")
+
+
+def _chunks(values: str) -> Iterator[list[str]]:
+    """The tokens of `values`, one list per run of at least CHUNK
+    characters that ends at whitespace or at the end."""
+    start = 0
+    while start < len(values):
+        space = _SPACE_RE.search(values, start + CHUNK)
+        end = space.start() if space else len(values)
+        yield values[start:end].split()
+        start = end
+
+
 def parse_algebra_file(text: str) -> list[FiniteAlgebra]:
     """Parse and validate every block; the first lexical, structural, or
-    validation problem is raised as a positioned ParseError."""
+    validation problem is raised as a positioned ParseError.  Each `op`
+    line is mapped to carrier indices as it is read."""
     algebras: list[FiniteAlgebra] = []
     name = None
     elements: list[str] = []
-    ops: list[tuple[str, int, list[str]]] = []
+    index: dict[str, int] = {}
+    ops: list = []  # (symbol, arity, table or its problem), as core.build_algebra takes them
+    op_lines: list[int] = []
     block_line = 0
+    lines = text.splitlines()
 
     def fail(lineno: int, col: int, msg: str):
         raise ParseError(lineno, col, msg)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    def read_table(values: str, sym: str, arity: int):
+        chunks = (values.split(),) if len(values) <= CHUNK else _chunks(values)
+        return core.index_table(index, chunks, sym, arity, len(elements))
+
+    for lineno, raw in enumerate(lines, start=1):
         line = _strip_comment(raw)
-        tokens = line.split()
-        if not tokens:
+        parts = line.split(None, 3)  # an `op` line's values stay one string
+        if not parts:
             continue
-        head = tokens[0]
+        head = parts[0]
         col = line.index(head) + 1
+        tokens = parts if len(parts) < 4 or head == "op" else line.split()
         if head == "algebra":
             if name is not None:
                 fail(lineno, col, "previous algebra block not closed with `end`")
@@ -70,7 +97,7 @@ def parse_algebra_file(text: str) -> list[FiniteAlgebra]:
             if not IDENT_RE.match(tokens[1]):
                 fail(lineno, col, f"bad algebra name: {tokens[1]!r}")
             name = tokens[1]
-            elements, ops = [], []
+            elements, index, ops, op_lines = [], {}, [], []
             block_line = lineno
         elif head == "elements":
             if name is None:
@@ -79,6 +106,11 @@ def parse_algebra_file(text: str) -> list[FiniteAlgebra]:
             for e in elements:
                 if not IDENT_RE.match(e):
                     fail(lineno, line.index(e) + 1, f"bad element token: {e!r}")
+            index = dict(zip(elements, range(len(elements))))
+            # tables read before this line are read again over these elements
+            ops = [(sym, arity, read_table(_strip_comment(lines[n - 1]).split(None, 3)[3],
+                                           sym, arity)[0])
+                   for (sym, arity, _), n in zip(ops, op_lines)]
         elif head == "op":
             if name is None:
                 fail(lineno, col, "`op` outside an algebra block")
@@ -87,21 +119,18 @@ def parse_algebra_file(text: str) -> list[FiniteAlgebra]:
             m = _OP_RE.match(tokens[1])
             if not m:
                 fail(lineno, col, f"bad operation header: {tokens[1]!r}")
-            arity = int(m.group("arity"))
-            values = tokens[3:]
+            sym, arity = m.group("name"), int(m.group("arity"))
+            table, found = read_table(tokens[3], sym, arity)
             expected = len(elements) ** arity
-            if len(values) != expected:
-                fail(
-                    lineno,
-                    col,
-                    f"expected {expected} values, found {len(values)} for {tokens[1]}",
-                )
-            ops.append((m.group("name"), arity, values))
+            if found != expected:
+                fail(lineno, col, f"expected {expected} values, found {found} for {tokens[1]}")
+            ops.append((sym, arity, table))
+            op_lines.append(lineno)
         elif head == "end":
             if name is None:
                 fail(lineno, col, "`end` outside an algebra block")
             try:
-                algebras.append(core.validate_algebra(name, elements, ops))
+                algebras.append(core.build_algebra(name, elements, ops, idents_checked=True))
             except InvalidAlgebra as exc:
                 fail(block_line, 1, f"invalid algebra {name}: {'; '.join(exc.problems)}")
             name = None
@@ -115,7 +144,7 @@ def parse_algebra_file(text: str) -> list[FiniteAlgebra]:
 def serialize_algebra(alg: FiniteAlgebra) -> str:
     lines = [f"algebra {alg.name}", f"elements {' '.join(alg.carrier)}"]
     for (sym, arity), table in zip(alg.signature.symbols, alg.tables):
-        values = " ".join(alg.carrier[v] for v in table)
+        values = " ".join(map(alg.carrier.__getitem__, table))
         lines.append(f"op {sym}/{arity} = {values}")
     lines.append("end")
     return "\n".join(lines) + "\n"

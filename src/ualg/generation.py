@@ -60,29 +60,6 @@ def generate(alg: FiniteAlgebra, seed: Iterable[str]) -> GenerationResult:
     return GenerationResult(subuniverse=Subuniverse(parent=alg, members=stages[-1]), trace=trace)
 
 
-def directed_union_check(alg: FiniteAlgebra, seed: Iterable[str], max_exhaustive: int = 12) -> bool:
-    """generate(seed) must equal the union of generate(F) over finite
-    F ⊆ seed.  All subsets are enumerated when |seed| <= max_exhaustive,
-    otherwise singletons, pairs, and the full set are sampled."""
-    seed = list(dict.fromkeys(seed))
-    whole = set(generate(alg, seed).members)
-    union: set[str] = set()
-    if len(seed) <= max_exhaustive:
-        subsets: Iterable[tuple[str, ...]] = itertools.chain.from_iterable(
-            itertools.combinations(seed, r) for r in range(len(seed) + 1)
-        )
-    else:
-        subsets = itertools.chain(
-            [()],
-            itertools.combinations(seed, 1),
-            itertools.combinations(seed, 2),
-            [tuple(seed)],
-        )
-    for sub in subsets:
-        union |= set(generate(alg, sub).members)
-    return union == whole
-
-
 def all_subuniverses(alg: FiniteAlgebra, max_size: int = 5) -> tuple[tuple[str, ...], ...]:
     """Every subuniverse, by exhaustive subset enumeration.  Guarded by a
     carrier-size budget since the enumeration is exponential."""

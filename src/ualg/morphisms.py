@@ -119,46 +119,6 @@ def check_homomorphism(m: Morphism) -> tuple[bool, Optional[HomWitness]]:
     return True, None
 
 
-@dataclass(frozen=True)
-class PartialMorphism:
-    """A map defined on a subset of the source carrier."""
-
-    source: FiniteAlgebra
-    target: FiniteAlgebra
-    mapping: tuple[tuple[str, str], ...]
-
-    @classmethod
-    def from_dict(
-        cls, source: FiniteAlgebra, target: FiniteAlgebra, mapping: dict[str, str]
-    ) -> "PartialMorphism":
-        items = tuple(sorted(mapping.items(), key=lambda kv: source.index_of[kv[0]]))
-        return cls(source, target, items)
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.mapping)
-
-
-def check_partial_homomorphism(m: PartialMorphism) -> tuple[bool, Optional[HomWitness]]:
-    """Guarded condition: whenever every argument and the result of an
-    application lie in the domain, the map must commute with it."""
-    _require_shared_signature(m.source, m.target)
-    mapping = m.as_dict()
-    for e in mapping:
-        if e not in m.source.index_of:
-            raise KeyError(f"domain element not in source carrier: {e}")
-    domain = set(mapping)
-    for sym, arity in m.source.signature.symbols:
-        for args in itertools.product(sorted(domain, key=m.source.index_of.get), repeat=arity):
-            result = m.source.apply(sym, *args)
-            if result not in domain:
-                continue
-            lhs = mapping[result]
-            rhs = m.target.apply(sym, *(mapping[a] for a in args))
-            if lhs != rhs:
-                return False, HomWitness(sym, args, lhs, rhs)
-    return True, None
-
-
 def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra, fixed: dict[int, int],
               n: int) -> tuple[list, list]:
     """The closure levels of the search, from the source alone.  Level 0

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .core import IDENT_RE, FiniteAlgebra, Rows, Signature, UalgError, gather, pack, weighted_sum
+from .core import IDENT_RE, MAX_TABLE_CELLS, BudgetExceeded, FiniteAlgebra, Rows, Signature, UalgError
+from .core import gather, pack, weighted_sum
 from .morphisms import (
     Morphism,
     check_homomorphism,
@@ -53,7 +54,8 @@ def direct_product(
     Tuple order is lexicographic in factor order with carrier orders,
     leftmost factor most significant; fresh names default to
     prefix+index in that order.  The empty product needs an explicit
-    signature and yields the one-element algebra."""
+    signature and yields the one-element algebra.  A table of more than
+    `core.MAX_TABLE_CELLS` cells raises BudgetExceeded before any is built."""
     factors = tuple(factors)
     if not factors:
         if signature is None:
@@ -64,8 +66,13 @@ def direct_product(
         for f in factors[1:]:
             _require_shared_signature(factors[0], f)
 
+    size = math.prod(len(f.carrier) for f in factors)
+    for sym, arity in sig.symbols:
+        # as in clone_n, a capped exponent decides without a huge power
+        if size ** min(arity, MAX_TABLE_CELLS.bit_length()) > MAX_TABLE_CELLS:
+            raise BudgetExceeded(f"product table of {sym}/{arity} over {size} elements "
+                                 f"would hold more than {MAX_TABLE_CELLS} cells")
     tuples = list(itertools.product(*(f.carrier for f in factors)))
-    size = len(tuples)
     if elements is not None:
         if len(elements) != size:
             raise UalgError(f"expected {size} urelements, got {len(elements)}")

@@ -1,10 +1,12 @@
 import json
 import shlex
+import time
 
 import pytest
 
+from ualg.catalog import cyclic_group
 from ualg.cli import main
-from ualg.fileformat import parse_algebra_file
+from ualg.fileformat import parse_algebra_file, serialize_algebra
 
 BO = "data/paper_BO.alg"
 
@@ -213,6 +215,17 @@ def test_clone_arity_past_the_projection_limit(capsys):
                          "--arity", "30")
     assert_one_line_input_error(code, out, err, "clone arity 30 over 2 elements: the "
                                 "projections need more than 1048576 cells")
+
+
+def test_product_past_the_table_limit(capsys, tmp_path):
+    # Z64^3 has 262144 elements, so its mul/2 table would hold 6.9e10 cells
+    path = tmp_path / "z64.alg"
+    path.write_text(serialize_algebra(cyclic_group(64)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "product", str(path), "--algebras", "Z64,Z64,Z64")
+    assert time.perf_counter() - start < 0.5
+    assert_one_line_input_error(code, out, err, "product table of mul/2 over 262144 "
+                                "elements would hold more than 4194304 cells")
 
 
 def test_eval_unknown_element(capsys):

@@ -6,7 +6,6 @@ from ualg import (
     BudgetExceeded,
     all_subuniverses,
     clone_n,
-    directed_union_check,
     eval_term,
     finiteness_report,
     generate,
@@ -71,12 +70,6 @@ def test_generate_is_least_containing_subuniverse():
             for s in containing:
                 least &= s
             assert generated == least
-
-
-def test_directed_union():
-    O = boolean_4()
-    assert directed_union_check(O, ["o2", "o3"])
-    assert directed_union_check(O, O.carrier)
 
 
 def test_all_subuniverses_budget():

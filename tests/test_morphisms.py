@@ -6,11 +6,9 @@ import pytest
 from ualg import (
     BudgetExceeded,
     Morphism,
-    PartialMorphism,
     Subuniverse,
     check_homomorphism,
     check_isomorphism,
-    check_partial_homomorphism,
     enumerate_homomorphisms,
     find_retractions,
     reduct,
@@ -82,21 +80,6 @@ def test_hom_witness_on_failure():
     assert not ok
     assert witness.symbol in ("and", "or")
     assert witness.mapped_result != witness.result_of_mapped
-
-
-def test_partial_homomorphism_guarded():
-    O = boolean_4()
-    B = boolean_2()
-    # o2 -> b2 is fine partially: no application with args and result
-    # inside {o1, o2, o4} is violated except and(o2,o3)-style ones that
-    # leave the domain
-    pm = PartialMorphism.from_dict(O, B, {"o1": "b1", "o2": "b2", "o4": "b2"})
-    ok, _ = check_partial_homomorphism(pm)
-    assert ok
-    bad = PartialMorphism.from_dict(O, B, {"o1": "b2", "o4": "b2"})
-    ok, witness = check_partial_homomorphism(bad)
-    assert not ok
-    assert witness.symbol == "zero"
 
 
 def test_retractions_of_lattice_reduct():
