@@ -72,7 +72,6 @@ from .reduced_power import (
     adjoin_generate,
     canonicalize,
     coordinate_retraction,
-    pointwise_apply,
     preservation_suite,
     std_embed,
 )

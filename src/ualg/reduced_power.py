@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .core import BudgetExceeded, FiniteAlgebra, UalgError
 from .core import close, induced_tables
@@ -106,29 +106,6 @@ def _window(seqs: Sequence[EpSequence]) -> tuple[int, int]:
     for s in seqs:
         per = math.lcm(per, len(s.period))
     return pre, per
-
-
-def pointwise_apply(symbol: str, args: Sequence[EpSequence]) -> EpSequence:
-    """Apply a base operation index by index, then canonicalize.  The
-    result is independent of the chosen representatives because canonical
-    forms agree on a cofinite set."""
-    if not args:
-        raise UalgError("pointwise application needs at least one argument; "
-                        "use std_embed for nullary values")
-    base = args[0].base
-    for s in args[1:]:
-        if s.base != base:
-            raise UalgError("mixed base algebras")
-    if base.signature.arity(symbol) != len(args):
-        raise UalgError(f"arity mismatch for {symbol}")
-    pre_len, per_len = _window(args)
-    pre = tuple(
-        base.apply(symbol, *(s.at(i) for s in args)) for i in range(pre_len)
-    )
-    per = tuple(
-        base.apply(symbol, *(s.at(pre_len + i) for s in args)) for i in range(per_len)
-    )
-    return canonicalize(base, pre, per)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .core import (FiniteAlgebra, Rows, UalgError, UnknownElement, apply_columns, gather,
-                   gather_blocks, pack, spread)
+from .core import (FiniteAlgebra, Rows, UalgError, UnknownElement, as_row, gather,
+                   gather_blocks, pack, spread, weighted_sum)
 
 
 class TermError(UalgError):
@@ -195,7 +195,7 @@ _FIRST_RANGE = 64  # bindings, rounded down to whole blocks, at least one
 _MAX_RANGE = 4096
 
 # step codes of a law's plan (see _plan)
-_LAST, _VAR, _CONST, _UNARY, _BLOCKS, _OUTER, _FULL = range(7)
+_LAST, _VAR, _CONST, _UNARY, _BLOCKS, _TABLE = range(6)
 
 
 def _compile(
@@ -258,9 +258,13 @@ def _plan(program: list[tuple], used: list[int], k: int,
         elif not arg:
             is_full, step = False, (_CONST, table[0], None)
         else:
-            kinds = [full[a] for a in arg]
-            is_full = any(kinds)
-            step = (_FULL, table, tuple(zip(arg, kinds))) if is_full else (_OUTER, table, arg)
+            # each argument, spread to full if the node is full, weighted
+            # by its row-major stride: the sum indexes the table as one row
+            is_full = any(full[a] for a in arg)
+            arity = len(arg)
+            weights = [k ** (arity - 1 - j) for j in range(arity)]
+            step = (_TABLE, (as_row(table, k**arity), weights, k**arity),
+                    tuple((a, full[a] or not is_full) for a in arg))
         steps.append(step)
         full.append(is_full)
     return steps, full
@@ -271,11 +275,10 @@ def _run(steps: list[tuple], k: int, first: int, blocks: int) -> list:
     `core.pack`: one value per block for an outer node, one per binding,
     block after block, for a full one.  The last variable is the carrier
     repeated; another variable or a constant is one value per block.  A
-    unary node is one gather; a node on outer arguments applies its table
-    once per block; a binary node on one outer and one full argument
-    gathers each block with the row of the outer value; any other node
-    spreads its outer arguments to full and applies its table per
-    binding."""
+    unary node is one gather; a binary node on one outer and one full
+    argument gathers each block with the row of the outer value; any
+    other node spreads its outer arguments to full if it is full, and
+    gathers its table at the stride-weighted sum of its arguments."""
     values: list = []
     for code, x, arg in steps:
         if code == _LAST:
@@ -288,11 +291,10 @@ def _run(steps: list[tuple], k: int, first: int, blocks: int) -> list:
             value = gather(x, values[arg])
         elif code == _BLOCKS:
             value = gather_blocks(x, values[arg[0]], values[arg[1]], k)
-        elif code == _OUTER:
-            value = pack(apply_columns(x, k, [values[a] for a in arg], blocks), k)
         else:
-            cols = [values[a] if f else spread(values[a], k) for a, f in arg]
-            value = pack(apply_columns(x, k, cols), k)
+            row, weights, n = x
+            cols = [values[a] if kept else spread(values[a], k) for a, kept in arg]
+            value = pack(gather(row, weighted_sum(cols, weights, n, len(cols[0]))), k)
         values.append(value)
     return values
 
@@ -352,13 +354,9 @@ class SatisfactionReport:
         return all(r.holds for _, r in self.results)
 
 
-def satisfies_all(alg: FiniteAlgebra, eqs: EquationSet, workers: int = 1) -> SatisfactionReport:
-    """Per-equation verdicts in equation order; "variety member" iff all pass.
-
-    workers is accepted for compatibility and ignored: the check runs in
-    one thread, and the result never depends on it.  The laws share the
-    table rows that their checks build.
-    """
+def satisfies_all(alg: FiniteAlgebra, eqs: EquationSet) -> SatisfactionReport:
+    """Per-equation verdicts in equation order; "variety member" iff all
+    pass.  The laws share the table rows that their checks build."""
     rows: dict[tuple[int, bool], Rows] = {}
     return SatisfactionReport(
         algebra=alg.name,

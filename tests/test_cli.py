@@ -228,6 +228,25 @@ def test_product_past_the_table_limit(capsys, tmp_path):
                                 "elements would hold more than 4194304 cells")
 
 
+def test_check_arity_past_any_table(capsys, tmp_path):
+    # 2**20000 has 6021 digits, past the interpreter's limit for printing an int
+    path = tmp_path / "wide.alg"
+    path.write_text("algebra A\nelements a b\nop f/20000 = a\nend\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert_one_line_input_error(code, out, err, f"{path}: line 3, column 1: expected 2^20000 "
+                                "values, found 1 for f/20000")
+    path.write_text(f"algebra A\nelements a b\nop f/{'9' * 5000} = a\nend\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert_one_line_input_error(code, out, err, f"{path}: line 3, column 1: bad operation header: "
+                                "arity of f has 5000 digits")
+    path.write_text("algebra A\nelements a b\nop f/3 = a\nend\n")  # a size that fits
+    code, out, err = run(capsys, "check", str(path))
+    assert_one_line_input_error(code, out, err, f"{path}: line 3, column 1: expected 8 values, "
+                                "found 1 for f/3")
+
+
 def test_eval_unknown_element(capsys):
     code, out, err = run(capsys, "eval", BO, "--algebra", "O",
                          "--term", "and(x,y)", "--bind", "x=zz,y=b1")

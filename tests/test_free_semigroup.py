@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 
 from ualg import BudgetExceeded, build_truncated, search_bounded_retraction
 from ualg.core import UalgError
-from ualg.free_semigroup import check_associativity, check_cancellation, word_str
+from ualg.free_semigroup import word_str
 
 
 def test_element_count_and_order():
@@ -31,9 +33,16 @@ def test_build_guards():
 
 
 def test_structure_checks():
+    # (uv)w = u(vw), and uw = vw or wu = wv only if u = v, wherever defined
     T = build_truncated(["a", "b"], 4)
-    assert check_associativity(T)
-    assert check_cancellation(T)
+    for u, v, w in itertools.product(T.elements, repeat=3):
+        uv, vw = T.concat(u, v), T.concat(v, w)
+        if uv is not None and vw is not None:
+            left, right = T.concat(uv, w), T.concat(u, vw)
+            assert left is None or right is None or left == right
+        if u != v:
+            assert T.concat(u, w) is None or T.concat(u, w) != T.concat(v, w)
+            assert T.concat(w, u) is None or T.concat(w, u) != T.concat(w, v)
 
 
 def test_identity_retraction_when_k_equals_bound():

@@ -1,8 +1,10 @@
 """Table kernel and semi-naive closures against slow oracles: the naive
 clone loop, the per-tuple semi-naive loops of `clone_n`, `generate` and
 `adjoin_generate`, string-level product and subalgebra tables, the
-`pointwise_apply` closure of extensions and the string-level
-homomorphism check.  Besides random small algebras, explicit examples
+`pointwise_apply` closure of extensions, the string-level
+homomorphism check, position-by-position sums for `weighted_sum`, and
+argument columns (`apply_columns`) for `satisfies` and the subuniverse
+check.  Besides random small algebras, explicit examples
 have carriers on both sides of 256 elements, the largest carrier whose
 index vectors are packed as bytes."""
 
@@ -10,18 +12,42 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 from hypothesis import example, given, settings, strategies as st
 
-from ualg import Morphism, check_homomorphism, clone_n, direct_product, validate_algebra
+from ualg import (Equation, Morphism, UnknownElement, check_homomorphism, clone_n,
+                  direct_product, is_subuniverse, satisfies, validate_algebra)
 from ualg.catalog import cyclic_group
-from ualg.core import Subuniverse, apply_columns, arg_columns, semi_naive_runs
+from ualg.core import PACK_LIMIT, ClosureWitness, Subuniverse, pack, semi_naive_runs, weighted_sum
 from ualg.generation import CloneFragment, CloneMember, GenerationResult, GenerationTrace, generate
 from ualg.morphisms import HomWitness
-from ualg.reduced_power import _sort_key, adjoin_generate, canonicalize, pointwise_apply, std_embed
-from ualg.terms import App, Var
+from ualg.reduced_power import _sort_key, adjoin_generate, canonicalize, std_embed
+from ualg.terms import App, SatisfactionResult, Var, term_variables
+
+from conftest import pointwise_apply
 
 seeds = st.integers(min_value=0, max_value=2**62 - 1)
+
+
+def arg_columns(n, m):
+    """The m argument columns of all n**m row-major argument tuples over
+    range(n): column j holds the j-th component of every tuple (the
+    list-of-ints oracle that `core` once held)."""
+    return [[v for v in range(n) for _ in range(n ** (m - 1 - j))] * n**j for j in range(m)]
+
+
+def apply_columns(table, k, columns, rows=1):
+    """Row r applies the operation to the r-th entries of the argument
+    columns, carrier indices over k elements: each row turned into a
+    row-major table index and looked up.  A nullary operation has no
+    columns and gives `rows` copies of its value."""
+    if not columns:
+        return [table[0]] * rows
+    idx = columns[0]
+    for col in columns[1:]:
+        idx = [i * k + b for i, b in zip(idx, col)]
+    return [table[i] for i in idx]
 
 
 def random_family(rng, count, max_arity=3):
@@ -418,3 +444,146 @@ Z300, Z60 = cyclic_group(300), cyclic_group(60)
 @example(late_witness_map(300))
 def test_check_homomorphism_matches_string_level(m):
     assert check_homomorphism(m) == oracle_check_homomorphism(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 6, 15, 16, 17, 257, 300]), st.integers(0, 3),
+       st.integers(0, 40), st.booleans(), seeds)
+def test_weighted_sum_matches_position_sums(k, arity, length, packed_with_n, seed):
+    # row-major strides over k, as `satisfies` uses them: k = 16 and 17
+    # put k*k on both sides of PACK_LIMIT, arity 3 takes k**3 past it,
+    # arity 0 sums no vectors; products pack their vectors with n instead
+    rng = random.Random(seed)
+    n = k**arity
+    weights = [k ** (arity - 1 - j) for j in range(arity)]
+    vectors = [pack([rng.randrange(k) for _ in range(length)], n if packed_with_n else k)
+               for _ in range(arity)]
+    out = weighted_sum(vectors, weights, n, length)
+    assert type(out) is (bytes if n <= PACK_LIMIT else list)
+    assert list(out) == [sum(w * v[i] for v, w in zip(vectors, weights)) for i in range(length)]
+
+
+def kernel_algebra(rng, k):
+    """k elements with random c/0, u/1, b/2 and t/3 tables."""
+    elements = [f"e{i}" for i in range(k)]
+    return validate_algebra(f"K{k}", elements, [
+        (sym, arity, rng.choices(elements, k=k**arity))
+        for sym, arity in (("c", 0), ("u", 1), ("b", 2), ("t", 3))])
+
+
+def kernel_term(rng, alg, n, depth):
+    symbols = alg.signature.symbols
+    if depth == 0 or rng.random() < 0.25:
+        return Var(rng.randrange(n)) if rng.random() < 0.9 else App("c", ())
+    sym, arity = rng.choice(symbols[1:])
+    return App(sym, tuple(kernel_term(rng, alg, n, depth - 1) for _ in range(arity)))
+
+
+def column_satisfies(alg, eq):
+    """Each side over every binding of the variables it uses, as argument
+    columns through `apply_columns`; the first differing binding."""
+    k = len(alg.carrier)
+    used = sorted(term_variables(eq.lhs) | term_variables(eq.rhs))
+    columns = dict(zip(used, arg_columns(k, len(used))))
+
+    def column(term):
+        if isinstance(term, Var):
+            return columns[term.index]
+        return apply_columns(alg.table(term.symbol), k, [column(a) for a in term.args],
+                             k ** len(used))
+
+    for t, (a, b) in enumerate(zip(column(eq.lhs), column(eq.rhs))):
+        if a != b:
+            return SatisfactionResult(False, {
+                name: alg.carrier[columns[i][t] if i in columns else 0]
+                for i, name in enumerate(eq.variables)})
+    return SatisfactionResult(True)
+
+
+def kernel_equation(seed):
+    rng = random.Random(seed)
+    k = rng.choice([2, 3, 4, 5, 16, 17])
+    alg = kernel_algebra(rng, k)
+    n = rng.randint(1, 3 if k < 16 else 2)
+    lhs = kernel_term(rng, alg, n, rng.randint(1, 3))
+    # an equal right side, or one with a subterm replaced: the laws hold,
+    # fail at the first binding, or fail late
+    rhs = lhs if rng.random() < 0.3 else kernel_term(rng, alg, n, rng.randint(0, 3))
+    return alg, Equation(lhs, rhs, tuple(f"x{i}" for i in range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds.map(kernel_equation))
+@example((kernel_algebra(random.Random(1), 17), Equation(   # binary, both sides per binding
+    App("b", (Var(1), App("u", (Var(1),)))), App("b", (App("u", (Var(1),)), Var(1))), ("x", "y"))))
+@example((kernel_algebra(random.Random(2), 16), Equation(   # ternary on per-block arguments
+    App("b", (App("t", (Var(0), Var(0), App("c", ()))), Var(1))), Var(1), ("x", "y"))))
+def test_satisfies_matches_argument_columns(case):
+    alg, eq = case
+    assert satisfies(alg, eq) == column_satisfies(alg, eq)
+
+
+def column_is_subuniverse(alg, subset):
+    """The subuniverse check by argument columns over the sorted members."""
+    members = set()
+    for e in subset:
+        if e not in alg.index_of:
+            raise UnknownElement(f"unknown element: {e}")
+        members.add(alg.index_of[e])
+    ordered = sorted(members)
+    for sym, arity in alg.signature.symbols:
+        cols = [[ordered[i] for i in col] for col in arg_columns(len(ordered), arity)]
+        for t, out in enumerate(apply_columns(alg.table(sym), len(alg.carrier), cols)):
+            if out not in members:
+                return False, ClosureWitness(
+                    sym, tuple(alg.carrier[col[t]] for col in cols), alg.carrier[out])
+    return True, None
+
+
+def subset_case(seed):
+    """A random algebra, nullary-only now and then, and a random subset:
+    empty, closed, or with an element outside the carrier."""
+    rng = random.Random(seed)
+    (alg,) = random_family(rng, 1, max_arity=rng.choice([0, 3, 3, 3]))
+    roll = rng.random()
+    if roll < 0.3:
+        subset = generate(alg, rng.sample(alg.carrier, rng.randint(0, 2))).members
+    else:
+        subset = rng.sample(alg.carrier, rng.randint(0, len(alg.carrier)))
+    if roll > 0.9:
+        subset = subset + ("zz",) if isinstance(subset, tuple) else subset + ["zz"]
+    return alg, subset
+
+
+def outcome(check, alg, subset):
+    try:
+        return check(alg, subset)
+    except UnknownElement as exc:
+        return f"UnknownElement: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds.map(subset_case))
+@example((WIDE[2], WIDE[2].carrier))
+@example((WIDE[2], WIDE[2].carrier[:200]))
+@example((WIDE[1], generate(WIDE[1], ["e5"]).members))
+@example((WIDE[0], []))
+def test_is_subuniverse_matches_argument_columns(case):
+    alg, subset = case
+    assert outcome(is_subuniverse, alg, subset) == outcome(column_is_subuniverse, alg, subset)
+
+
+def test_is_subuniverse_memory_is_one_run():
+    # the argument columns of all 64**3 tuples would trace about 26.5 MB;
+    # one run of 64 members and the table rows that the runs read, 1.4 MB
+    rng = random.Random(64)
+    elements = [f"e{i}" for i in range(64)]
+    alg = validate_algebra("T", elements, [("t", 3, rng.choices(elements, k=64**3))])
+    tracemalloc.start()
+    try:
+        closed = is_subuniverse(alg, elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert closed == (True, None)
+    assert peak < 3 * 2**20, peak

@@ -101,11 +101,18 @@ def test_mediating_rejects_non_hom_legs():
 
 def test_universal_property_small_apices():
     prod = _bxo()
-    reports = verify_universal_property(prod, [boolean_2(), one_element(
-        list(boolean_2().signature.symbols), name="One")])
-    for report in reports:
+    apices = [boolean_2(), one_element(list(boolean_2().signature.symbols), name="One")]
+    reports = verify_universal_property(prod, apices)
+    for apex, report in zip(apices, reports):
         assert report.all_pass
-        assert report.uniqueness_confirmed
+        # the mediating map is the only one: exactly one product element
+        # has the legs' images of each apex element as its projections
+        for cone in report.cones:
+            for i in range(len(apex.carrier)):
+                legs_at = tuple(images[i] for images in cone.legs)
+                assert [p for p in prod.product.carrier
+                        if tuple(proj(p) for proj in prod.projections) == legs_at] == [
+                    prod.unrelabel(legs_at)]
 
 
 def test_associativity_up_to_isomorphism():

@@ -9,7 +9,6 @@ from ualg import (
     check_isomorphism,
     coordinate_retraction,
     direct_product,
-    pointwise_apply,
     preset,
     preservation_suite,
     std_embed,
@@ -17,6 +16,8 @@ from ualg import (
 from ualg.catalog import boolean_2, boolean_4, cyclic_group, lattice_2
 from ualg.core import BudgetExceeded, UalgError
 from ualg.reduced_power import parse_ep_sequence
+
+from conftest import pointwise_apply
 
 
 def _window_equal(a: EpSequence, b: EpSequence) -> bool:

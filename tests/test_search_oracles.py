@@ -25,11 +25,30 @@ from ualg import (
     validate_algebra,
 )
 from ualg.catalog import cyclic_group
-from ualg.core import apply_columns, arg_columns
 from ualg.free_semigroup import ForcedStep, word_str
 from ualg.morphisms import _element_profile, _orbit_sizes, _search_homomorphisms
 
 seeds = st.integers(min_value=0, max_value=2**62 - 1)
+
+
+def arg_columns(n, m):
+    """The m argument columns of all n**m row-major argument tuples over
+    range(n): column j holds the j-th component of every tuple (the
+    list-of-ints oracle that `core` once held)."""
+    return [[v for v in range(n) for _ in range(n ** (m - 1 - j))] * n**j for j in range(m)]
+
+
+def apply_columns(table, k, columns):
+    """Row r applies the operation to the r-th entries of the argument
+    columns, carrier indices over k elements: each row turned into a
+    row-major table index and looked up.  A nullary operation has no
+    columns and gives its one value."""
+    if not columns:
+        return [table[0]]
+    idx = columns[0]
+    for col in columns[1:]:
+        idx = [i * k + b for i, b in zip(idx, col)]
+    return [table[i] for i in idx]
 
 
 def random_tables(rng, n, symbols):

@@ -90,14 +90,6 @@ def test_lattice_preset_rejects_nonlattice():
     assert not report.variety_member
 
 
-def test_workers_agree_with_serial():
-    O = boolean_4()
-    eqs = preset("boolean-algebra")
-    serial = satisfies_all(O, eqs)
-    threaded = satisfies_all(O, eqs, workers=4)
-    assert serial == threaded
-
-
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_finite_field_axioms(q):
     # independent oracle: directly check the field axioms on the tables
