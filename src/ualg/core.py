@@ -338,6 +338,68 @@ def build_algebra(name: str, elements: Sequence[str],
                          tables=tuple(table for _, _, table in operations))
 
 
+# Output cells that `close` composes in one kernel pass, about: enough
+# that the costs paid once per block vanish beside the cells.
+BLOCK_CELLS = 1 << 14
+
+
+def vector_keys(width: int, k: int):
+    """A function keys(vectors, n) that gives one hashable key for each
+    of n vectors of `width` carrier indices below k, held back to back
+    in a vector that `pack` made with k; equal vectors, and only they,
+    get equal keys.  Packed vectors are written in base k, g indices to
+    a byte with k**g <= 256 (one `weighted_sum` per byte of the key),
+    and a key is those bytes read as one unsigned int of 1, 2, 4 or 8
+    bytes, or as a tuple of 8-byte ints.  So the low bits of a key vary
+    with several indices, not with one index's low bits, which Python's
+    int hash would keep as they are.  Byte order does not matter, since
+    keys are only compared with each other.  Lists give tuples."""
+    if k > PACK_LIMIT:
+        return lambda vectors, n: list(zip(*[iter(vectors)] * width)) if width else [()] * n
+    g = 1
+    while g < width and k ** (g + 1) <= PACK_LIMIT:
+        g += 1
+    groups = [range(j, min(j + g, width)) for j in range(0, width, g)]
+    size = next((s for s in (1, 2, 4) if len(groups) <= s), 8 * -(-len(groups) // 8))
+    form = {1: "B", 2: "H", 4: "I"}.get(size, "Q")
+
+    def keys(vectors, n: int):
+        if size == width and g == 1:  # the vectors are their own base-k bytes
+            digits = vectors
+        else:
+            digits = bytearray(n * size)
+            for d, group in enumerate(groups):
+                digits[d::size] = weighted_sum([vectors[j::width] for j in group],
+                                               [k ** i for i in range(len(group))], k ** g, n)
+        ints = memoryview(digits).cast(form).tolist()
+        return ints if size <= 8 else list(zip(*[iter(ints)] * (size // 8)))
+    return keys
+
+
+def run_blocks(count: int, new_from: int, arity: int, skip: bool, width: int, allowed):
+    """The runs of one closure round for one symbol (`semi_naive_runs`)
+    as (prefix, low, length) triples, in blocks of about BLOCK_CELLS
+    output cells at `width` cells a vector.  skip starts each run at its
+    first argument, for a commutative binary symbol.  length is the
+    run's attempt count: the run in which `allowed` attempts run out is
+    cut to them and ends the last block."""
+    block, cells = [], 0
+    for prefix, low in semi_naive_runs(count, new_from, arity):
+        if skip:
+            low = max(low, prefix[0])
+        length = min(count - low, allowed)
+        allowed -= length
+        block.append((prefix, low, length))
+        cells += length * width
+        if length < count - low:
+            break
+        if cells >= BLOCK_CELLS:
+            yield block
+            block, cells = [], 0
+    if block:
+        yield block
+
+
 def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optional[int] = None
           ) -> tuple[list[tuple[int, ...]], list, list[int], bool]:
     """Closure of distinct equal-width start vectors of carrier indices
@@ -345,10 +407,15 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
 
     Members are the starts, then each new vector in the order found, so
     those new in a round form a suffix.  Each round composes only
-    argument tuples that hold a member new in the round before, one
-    row-major run of last arguments per `apply_run` call, and skips
-    f(b, a) after f(a, b) for a commutative binary f, which changes no member
-    and no order.  Returns (members, derivations, rounds, complete):
+    argument tuples that hold a member new in the round before, and
+    skips f(b, a) after f(a, b) for a commutative binary f, which
+    changes no member and no order.  Members are kept back to back in
+    one vector that `pack` made, and `seen` holds their `vector_keys`.
+    A symbol's runs of last arguments are composed a block at a time
+    (`run_blocks`): one `weighted_sum` and one translate when k**arity
+    <= PACK_LIMIT, else one `apply_run` per run; then one key split and
+    one set test, and a loop over single outputs only in a block with a
+    new key.  Returns (members, derivations, rounds, complete):
     derivations[i] is (symbol, argument member indices) for the
     application that found member i, or None for a start; rounds holds
     the member count after the starts and after each round that added
@@ -357,51 +424,70 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
     budget allows and complete is False."""
     k = len(alg.carrier)
     width = len(starts[0]) if starts else 0
-    members = list(starts)
-    seen = set(members)
-    derivations: list = [None] * len(members)
-    flat = pack(itertools.chain.from_iterable(members), k)
-    rounds = [len(members)]
+    keys_of = vector_keys(width, k)
+    flat = pack(itertools.chain.from_iterable(starts), k)
+    seen = set(keys_of(flat, len(starts)))
+    derivations: list = [None] * len(starts)
+    rounds = [len(starts)]
     commutative = [arity == 2 and all(t[a * k:(a + 1) * k] == t[a::k] for a in range(k))
                    for (_, arity), t in zip(alg.signature.symbols, alg.tables)]
-    op_rows = [Rows(t, k, k) for t in alg.tables]
+    # a table whose row-major argument indices all fit a byte is read
+    # through one translation table at their weighted sum; others by rows
+    op_rows = [as_row(t, k ** arity) if arity and k ** arity <= PACK_LIMIT else Rows(t, k, k)
+               for (_, arity), t in zip(alg.signature.symbols, alg.tables)]
     limit = float("inf") if budget is None else budget
     attempts, new_from, complete = 0, 0, True
-    while complete and new_from < len(members):
-        count = len(members)
+    while complete and new_from < len(derivations):
+        count = len(derivations)
         for (sym, arity), table, rows, skip in zip(alg.signature.symbols, alg.tables, op_rows,
                                                    commutative):
             if arity == 0:
-                const = (table[0],) * width
-                if const not in seen:
-                    seen.add(const)
-                    members.append(const)
-                    flat.extend(const)
+                const = pack((table[0],) * width, k)
+                key, = keys_of(const, 1)
+                if key not in seen:
+                    seen.add(key)
+                    flat += const
                     derivations.append((sym, ()))
                 continue
-            for prefix, low in semi_naive_runs(count, new_from, arity):
-                if skip:
-                    low = max(low, prefix[0])
-                length = min(count - low, limit - attempts)
-                attempts += length
-                outs = apply_run(rows, k, [members[c] for c in prefix],
-                                  flat[low * width:(low + length) * width], width)
-                outs = list(zip(*[iter(outs)] * width))
-                if not seen.issuperset(outs):
-                    for last, out in enumerate(outs, low):
-                        if out not in seen:
-                            seen.add(out)
-                            members.append(out)
-                            flat.extend(out)
-                            derivations.append((sym, prefix + (last,)))
+            for block in run_blocks(count, new_from, arity, skip, width, limit - attempts):
+                lasts = [flat[low * width:(low + length) * width] for _, low, length in block]
+                slots = sum(length for _, _, length in block)
+                if type(rows) is bytes:
+                    index = b"".join(lasts)
+                    if arity > 1:
+                        index = weighted_sum(
+                            [b"".join([flat[p[j] * width:(p[j] + 1) * width] * length
+                                       for p, _, length in block]) for j in range(arity - 1)]
+                            + [index], [k ** (arity - 1 - j) for j in range(arity)],
+                            k ** arity, len(index))
+                    out = index.translate(rows)
+                else:
+                    out = pack((), k)
+                    for (prefix, _, _), column in zip(block, lasts):
+                        out += apply_run(rows, k, [flat[c * width:(c + 1) * width]
+                                                   for c in prefix], column, width)
+                keys = keys_of(out, slots)
+                if not seen.issuperset(keys):
+                    runs, first = iter(block), 0  # the run of output j starts at output first
+                    prefix, low, length = next(runs)
+                    for j in [j for j, key in enumerate(keys) if key not in seen]:
+                        while j >= first + length:
+                            first += length
+                            prefix, low, length = next(runs)
+                        if keys[j] not in seen:  # else found earlier in the block
+                            seen.add(keys[j])
+                            derivations.append((sym, prefix + (low + j - first,)))
+                            flat += out[j * width:(j + 1) * width]
+                attempts += slots
+                prefix, low, length = block[-1]
                 if length < count - low:
                     complete = False
-                    break
             if not complete:
                 break
         new_from = count
-        if len(members) > count:
-            rounds.append(len(members))
+        if len(derivations) > count:
+            rounds.append(len(derivations))
+    members = [tuple(flat[i * width:(i + 1) * width]) for i in range(len(derivations))]
     return members, derivations, rounds, complete
 
 

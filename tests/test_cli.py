@@ -1,14 +1,19 @@
+import hashlib
 import json
 import shlex
 import time
 
 import pytest
 
-from ualg.catalog import cyclic_group
+from ualg import generation
+from ualg.catalog import cyclic_group, vector_space_gf
 from ualg.cli import main
 from ualg.fileformat import parse_algebra_file, serialize_algebra
 
+from test_kernel_oracles import oracle_close
+
 BO = "data/paper_BO.alg"
+SMALL = "data/small.alg"
 
 
 @pytest.fixture(autouse=True)
@@ -113,6 +118,65 @@ def test_clone(capsys):
     payload = json.loads(out)
     assert len(payload["members"]) == 4
     assert payload["complete"]
+
+
+# rp generators over B whose windows have 3, 5 and 12 positions, with the
+# sha256 of `rp adjoin --json`; every `rp preserve` prints the same verdicts
+RP_WINDOWS = [
+    (["per b1 b2 b2"], "9542b804f9e94552a705358162af4becb5d308b67e39830dc394dc63e73200f5"),
+    (["pre b2 b2 | per b1 b2 b1"],
+     "6648a7678841fa159ecb8c7e9d14c45bad143938c9da58e1cb1d2192168f42cd"),
+    (["per b1 b2 b2", "per b2 b1 b1 b2"],
+     "9b2e2b9a3a6636cc3b45f998f27526165cfcda86ce35c4a74c3d602e4347ecf3"),
+]
+PRESERVE_B = "71c0c0b917dcc37088e2da92bd84a959ba7bafa58a062737b8051c60604c7063"
+
+
+def test_closure_commands_print_pinned_bytes(capsys, tmp_path):
+    # sha256 of the --json stdout of every command that runs `core.close`,
+    # as the run-by-run closure printed it: gen at widths 1 on 4, 256 and
+    # 300 elements, clone tables of widths 4, 8 and 16, rp windows above
+    z300, v2_8 = tmp_path / "z300.alg", tmp_path / "v2_8.alg"
+    z300.write_text(serialize_algebra(cyclic_group(300)))
+    v2_8.write_text(serialize_algebra(vector_space_gf(2, 8)))
+    cases = [
+        (("gen", BO, "--algebra", "O", "--elements", "o2"),
+         "2d949eedbf3238487d0b96e4e1d5cd9472ec02dee788299ec2c78483c0da7e8f"),
+        (("gen", str(z300), "--elements", "g2"),
+         "a06fb0f93492fb768f84abadbf103a1607d1bead7b789e144a8ba31723099842"),
+        (("gen", str(v2_8), "--elements", ",".join(f"v{1 << i}" for i in range(8))),
+         "6f823b868fb8db4f879377b8dd1834e88f6e6d7f1c7b9ab0e8ab2301471c644a"),
+        (("clone", BO, "--algebra", "B", "--arity", "2"),
+         "adfbd70d6fa4450dab86878a3dda0e6da9914dd90341875a3a0d7e5f3c8aab20"),
+        (("clone", BO, "--algebra", "B", "--arity", "3"),
+         "110d8d4d8ad4ba5ecbafd7a2d45b249e26a624add3caa8bd839348bd71f6fa40"),
+        (("clone", SMALL, "--algebra", "L2", "--arity", "2"),
+         "3f689ab91184acbb5f91fab48dc5ea19425f04dc32d06f7104e7f4b65f502660"),
+        (("clone", SMALL, "--algebra", "L2", "--arity", "3"),
+         "91497722f9aa23a37097efe74e2f4e0718a139cbe24f54f2d5e6189ed602e6a9"),
+        (("clone", SMALL, "--algebra", "L2", "--arity", "4"),
+         "312459420380eb497fd9cb4d68af1c23feb7617c80ccf4e0bfab658806df69af"),
+    ]
+    for gens, adjoined in RP_WINDOWS:
+        args = [arg for g in gens for arg in ("--gen", g)]
+        cases.append((("rp", "adjoin", BO, "--algebra", "B", *args), adjoined))
+        cases.append((("rp", "preserve", BO, "preset:boolean-algebra", "--algebra", "B", *args),
+                      PRESERVE_B))
+    for argv, digest in cases:
+        code, out, _ = run(capsys, "--json", *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), argv
+
+
+def test_clone_budget_cuts_match_run_by_run_close(capsys, monkeypatch):
+    # every budget up to the 342 attempts of the complete L2 fragment of
+    # arity 3, against the closure that composes and tests one run at a time
+    args = ("--json", "clone", SMALL, "--algebra", "L2", "--arity", "3")
+    for budget in range(343):
+        code, out, _ = run(capsys, "--budget", str(budget), *args)
+        with monkeypatch.context() as patch:
+            patch.setattr(generation, "close", oracle_close)
+            assert run(capsys, "--budget", str(budget), *args) == (code, out, "")
+        assert code == 0 and json.loads(out)["complete"] == (budget == 342)
 
 
 def test_homs_and_counts(capsys):

@@ -1,7 +1,7 @@
 """Table kernel and semi-naive closures against slow oracles: the naive
 clone loop, the per-tuple semi-naive loops of `clone_n`, `generate` and
-`adjoin_generate`, string-level product and subalgebra tables, the
-`pointwise_apply` closure of extensions, the string-level
+`adjoin_generate`, the run-by-run `close`, string-level product and
+subalgebra tables, the `pointwise_apply` closure of extensions, the string-level
 homomorphism check, position-by-position sums for `weighted_sum`, and
 argument columns (`apply_columns`) for `satisfies` and the subuniverse
 check.  Besides random small algebras, explicit examples
@@ -13,13 +13,15 @@ import itertools
 import math
 import random
 import tracemalloc
+from typing import Optional, Sequence
 
 from hypothesis import example, given, settings, strategies as st
 
 from ualg import (Equation, Morphism, UnknownElement, check_homomorphism, clone_n,
                   direct_product, is_subuniverse, satisfies, validate_algebra)
-from ualg.catalog import cyclic_group
-from ualg.core import PACK_LIMIT, ClosureWitness, Subuniverse, pack, semi_naive_runs, weighted_sum
+from ualg.catalog import boolean_2, cyclic_group
+from ualg.core import (PACK_LIMIT, ClosureWitness, FiniteAlgebra, Rows, Subuniverse, apply_run,
+                       close, pack, semi_naive_runs, weighted_sum)
 from ualg.generation import CloneFragment, CloneMember, GenerationResult, GenerationTrace, generate
 from ualg.morphisms import HomWitness
 from ualg.reduced_power import _sort_key, adjoin_generate, canonicalize, std_embed
@@ -273,6 +275,75 @@ def oracle_adjoin(alg, gens):
     return tuple(ordered), tables
 
 
+# `core.close` as it was before it composed runs in blocks: one
+# `apply_run` call, one tuple split and one set test per run
+def oracle_close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optional[int] = None
+                 ) -> tuple[list[tuple[int, ...]], list, list[int], bool]:
+    """Closure of distinct equal-width start vectors of carrier indices
+    under the basic operations applied pointwise.
+
+    Members are the starts, then each new vector in the order found, so
+    those new in a round form a suffix.  Each round composes only
+    argument tuples that hold a member new in the round before, one
+    row-major run of last arguments per `apply_run` call, and skips
+    f(b, a) after f(a, b) for a commutative binary f, which changes no member
+    and no order.  Returns (members, derivations, rounds, complete):
+    derivations[i] is (symbol, argument member indices) for the
+    application that found member i, or None for a start; rounds holds
+    the member count after the starts and after each round that added
+    members.  budget caps the composition attempts (a nullary symbol
+    makes none); on overrun the closure stops at the exact attempt the
+    budget allows and complete is False."""
+    k = len(alg.carrier)
+    width = len(starts[0]) if starts else 0
+    members = list(starts)
+    seen = set(members)
+    derivations: list = [None] * len(members)
+    flat = pack(itertools.chain.from_iterable(members), k)
+    rounds = [len(members)]
+    commutative = [arity == 2 and all(t[a * k:(a + 1) * k] == t[a::k] for a in range(k))
+                   for (_, arity), t in zip(alg.signature.symbols, alg.tables)]
+    op_rows = [Rows(t, k, k) for t in alg.tables]
+    limit = float("inf") if budget is None else budget
+    attempts, new_from, complete = 0, 0, True
+    while complete and new_from < len(members):
+        count = len(members)
+        for (sym, arity), table, rows, skip in zip(alg.signature.symbols, alg.tables, op_rows,
+                                                   commutative):
+            if arity == 0:
+                const = (table[0],) * width
+                if const not in seen:
+                    seen.add(const)
+                    members.append(const)
+                    flat.extend(const)
+                    derivations.append((sym, ()))
+                continue
+            for prefix, low in semi_naive_runs(count, new_from, arity):
+                if skip:
+                    low = max(low, prefix[0])
+                length = min(count - low, limit - attempts)
+                attempts += length
+                outs = apply_run(rows, k, [members[c] for c in prefix],
+                                  flat[low * width:(low + length) * width], width)
+                outs = list(zip(*[iter(outs)] * width))
+                if not seen.issuperset(outs):
+                    for last, out in enumerate(outs, low):
+                        if out not in seen:
+                            seen.add(out)
+                            members.append(out)
+                            flat.extend(out)
+                            derivations.append((sym, prefix + (last,)))
+                if length < count - low:
+                    complete = False
+                    break
+            if not complete:
+                break
+        new_from = count
+        if len(members) > count:
+            rounds.append(len(members))
+    return members, derivations, rounds, complete
+
+
 def oracle_check_homomorphism(m):
     for sym, arity in m.source.signature.symbols:
         for args in itertools.product(m.source.carrier, repeat=arity):
@@ -419,6 +490,54 @@ def test_adjoin_matches_pointwise_closure(seed):
     assert ext.members == members == tuple_adjoin_members(alg, gens)
     assert ext.algebra.tables == tables
     assert ext.labels == tuple(zip(ext.algebra.carrier, members))
+
+
+def closure_case(seed, k, width, columns, arities, budget):
+    """Distinct start vectors of `width` carrier indices over k elements
+    that repeat `columns` random columns, so the closure has at most
+    k**columns members at any width; one random symbol per arity, a
+    binary one made commutative for an even seed."""
+    rng = random.Random(seed)
+    elements = [f"e{i}" for i in range(k)]
+    ops = []
+    for i, arity in enumerate(arities):
+        values = rng.choices(elements, k=k**arity)
+        if arity == 2 and seed % 2 == 0:
+            values = [values[min(a, b) * k + max(a, b)] for a in range(k) for b in range(k)]
+        ops.append((f"f{i}", arity, values))
+    alg = validate_algebra(f"K{k}", elements, ops)
+    where = [rng.randrange(columns) for _ in range(width)]
+    bases = [[rng.randrange(k) for _ in range(columns)] for _ in range(rng.randint(0, 3))]
+    starts = list(dict.fromkeys(tuple(base[c] for c in where) for base in bases))
+    return alg, starts, budget
+
+
+def random_closure_case(seed):
+    # k**arity on both sides of PACK_LIMIT, and 257 takes the list path;
+    # widths 1-20 reach keys of 1, 2, 4, 8, 16 and 24 bytes, with unused
+    # bytes; at most k**columns members, so at most 257**2 argument tuples
+    rng = random.Random(seed)
+    k = rng.choice([1, 2, 3, 4, 5, 6, 7, 17, 257])
+    arities = rng.sample([0, 1, 2, 2, 3] if k < 257 else [0, 1, 1, 2], rng.randint(1, 3))
+    columns = 1
+    while k > 1 and k ** ((columns + 1) * max(arities + [1])) <= 257**2:
+        columns += 1
+    budget = rng.choice([None, None, 0, 1, rng.randint(2, 60), rng.randint(60, 20000)])
+    return closure_case(seed, k, rng.randint(1, 20), rng.randint(1, columns), arities, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds.map(random_closure_case))
+@example(closure_case(2, 257, 1, 1, [0, 1, 2], None))   # 257 members, rounds of two blocks
+@example(closure_case(0, 257, 1, 1, [2], 14465))        # cut inside a round's first block
+@example(closure_case(880, 257, 3, 1, [0, 1], None))    # a constant past a byte: e256
+@example(closure_case(6, 2, 20, 8, [2], 856))           # 128 members; cut inside a full block
+@example(closure_case(116, 2, 12, 5, [3], None))        # 32 members, ternary, one translate
+@example((closure_case(6, 3, 5, 1, [0, 2], None)[0], [], None))  # no starts
+@example((boolean_2(), [tuple(c) for c in arg_columns(2, 4)], 1_000_000))  # clone_n(B, 4) cut
+def test_close_matches_run_by_run_close(case):
+    alg, starts, budget = case
+    assert close(alg, starts, budget) == oracle_close(alg, starts, budget)
 
 
 def random_morphism(seed):
