@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional
 
 from .core import FiniteAlgebra, InvalidAlgebra, Subuniverse, UalgError
@@ -38,7 +39,7 @@ from .reduced_power import (
     parse_ep_sequence,
     preservation_suite,
 )
-from .terms import eval_term, parse_term, satisfies_all
+from .terms import eval_term, parse_term, render_terms, satisfies_all
 
 USAGE_ERROR = 2
 FALSE_VERDICT = 1
@@ -93,11 +94,46 @@ def _load_equations(path: str, name: str):
         raise CliError(f"{path}: {exc}")
 
 
+def json_text(obj, indent: str = "") -> str:
+    """The bytes of `json.dumps(obj, indent=2)`: two-space indent, ASCII
+    escapes, `[]` and `{}` for empty containers.  Keys must be str.  Each
+    container is one join; str, None, bool and int are written here, and
+    any other scalar goes through `json.dumps`, which raises TypeError
+    for a value JSON cannot hold.  (The json module serves any indent
+    with its pure-Python encoder.)"""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(obj)
+    inner = indent + "  "
+    # str members are quoted in place, without a call: most clone and
+    # product payload members are element names
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_quote(v) if type(v) is str else json_text(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_quote(k) + ": " + (_quote(v) if type(v) is str else json_text(v, inner))
+                 for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return json.dumps(obj)
+
+
 def _emit(args, payload: dict, human: Callable[[], str]) -> None:
     """Print the payload as JSON under --json, else the human text,
     which is only built when it is printed."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         print(human())
 
@@ -176,11 +212,10 @@ def cmd_gen(args) -> int:
 def cmd_clone(args) -> int:
     alg = _pick(_load_algebras(args.file), args.algebra, args.file)
     frag = clone_n(alg, args.arity, budget=args.budget)
-    from .terms import term_to_str
-
     variables = [f"x{i+1}" for i in range(args.arity)]
-    members = [{"table": list(map(alg.carrier.__getitem__, m.table)),
-                "witness": term_to_str(m.witness, variables)} for m in frag.members]
+    witnesses = render_terms([m.witness for m in frag.members], variables)
+    members = [{"table": list(map(alg.carrier.__getitem__, m.table)), "witness": w}
+               for m, w in zip(frag.members, witnesses)]
     payload = {"algebra": alg.name, "arity": frag.arity, "complete": frag.complete,
                "members": members}
     _emit(args, payload, lambda: "\n".join(

@@ -523,6 +523,9 @@ class ClosureWitness:
     args: tuple[str, ...]
     result: str
 
+    def __str__(self) -> str:
+        return f"{self.symbol}({', '.join(self.args)}) = {self.result}"
+
 
 def is_subuniverse(
     alg: FiniteAlgebra, subset: Iterable[str]

@@ -24,7 +24,7 @@ import re
 from typing import Iterator
 
 from .core import IDENT_RE, FiniteAlgebra, InvalidAlgebra, UalgError
-from .terms import Equation, EquationSet, TermError, parse_term, term_to_str
+from .terms import Equation, EquationSet, TermError, parse_term
 from . import core
 
 
@@ -198,7 +198,5 @@ def serialize_equation_set(eqs: EquationSet) -> str:
         if eq.variables != current_vars:
             current_vars = eq.variables
             lines.append(f"vars {' '.join(current_vars)}")
-        lines.append(
-            f"eq {term_to_str(eq.lhs, eq.variables)} = {term_to_str(eq.rhs, eq.variables)}"
-        )
+        lines.append(f"eq {eq.render()}")
     return "\n".join(lines) + "\n"

@@ -41,10 +41,30 @@ def term_variables(term: Term) -> set[int]:
     return out
 
 
-def term_to_str(term: Term, variables: Sequence[str]) -> str:
-    if isinstance(term, Var):
+def render_terms(terms: Sequence[Term], variables: Sequence[str]) -> list[str]:
+    """Each term in prefix syntax.  Subterms shared between or within the
+    terms, as in the witnesses of `clone_n`, are rendered once: the memo
+    is keyed by application identity, which is safe while `terms` holds
+    every subterm alive."""
+    memo: dict[int, str] = {}
+    return [_render(term, variables, memo) for term in terms]
+
+
+def _render(term: Term, variables: Sequence[str], memo: dict[int, str]) -> str:
+    # a module-level function, not a closure made per call: on the many
+    # two-term calls of `Equation.render` a fresh closure cost `satisfies`
+    # jobs about 5%
+    if type(term) is Var:
         return variables[term.index]
-    return f"{term.symbol}({', '.join(term_to_str(a, variables) for a in term.args)})"
+    text = memo.get(id(term))
+    if text is None:
+        text = memo[id(term)] = (
+            f"{term.symbol}({', '.join([_render(a, variables, memo) for a in term.args])})")
+    return text
+
+
+def term_to_str(term: Term, variables: Sequence[str]) -> str:
+    return render_terms((term,), variables)[0]
 
 
 _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[(),])")
@@ -110,7 +130,7 @@ class Equation:
             raise TermError("equation uses an undeclared variable index")
 
     def render(self) -> str:
-        return f"{term_to_str(self.lhs, self.variables)} = {term_to_str(self.rhs, self.variables)}"
+        return " = ".join(render_terms((self.lhs, self.rhs), self.variables))
 
 
 @dataclass(frozen=True)

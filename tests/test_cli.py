@@ -167,6 +167,51 @@ def test_closure_commands_print_pinned_bytes(capsys, tmp_path):
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), argv
 
 
+def test_other_commands_print_pinned_bytes(capsys, tmp_path):
+    # exit code and sha256 of the --json stdout of the commands that do not
+    # close, as printed through json.dumps(payload, indent=2)
+    n2 = tmp_path / "n2.alg"  # and/or fail or-commutativity at (d0, d1)
+    n2.write_text("algebra N2\nelements d0 d1\n"
+                  "op and/2 = d0 d0 d0 d1\nop or/2 = d0 d0 d1 d1\nend\n")
+    cases = [
+        (("check", BO), 0, "c5d49a8eac8b2eb8d7cb79efb47e37ed476086b7ec3d5a8ee0d4b720e36e9ee0"),
+        (("check", SMALL), 0, "c114680628ce08197da7d9301a099d24b8bfa786476cd8523fd5a2110c7d25e0"),
+        (("eval", BO, "--algebra", "O", "--term", "not(and(x, y))", "--bind", "x=o2,y=o4"),
+         0, "7dc97df92b20db8b520eaaa9f2b155b3d545d5b40e615cdec7426287e3c5619f"),
+        (("satisfies", BO, "preset:boolean-algebra", "--algebra", "O"),
+         0, "59839ec9b941a8545d3cff4a41a7b9c9d1f3553014e08bccce528664a8f87b8c"),
+        (("satisfies", str(n2), "preset:lattice"),
+         1, "770d9b7affb73711c9f43567f680341511b1c702fc617d6acc3865b8b4ee57a4"),
+        (("homs", BO, "--algebras", "O,O"),
+         0, "887ea459d87f748a7c98c7fb039bfe96a14cc64499a73f22adbb2931457c4220"),
+        (("homs", BO, "--algebras", "O,B"),
+         0, "c3523dbde3c43b1a558973fa40321600ea82ae783a60468c2edde4f519dde97e"),
+        (("homs", BO, "--algebras", "O,O", "--count"),
+         0, "19c2b9b9817283f0c31744f2c2318f5e9c868b37fd631434c125dbe18b86103f"),
+        (("iso", BO, "--algebras", "B,B"),
+         0, "5cb51e572955e4f83f44ef2e48e6f5c7c74b1793b4fd7e42f1b228736dc57704"),
+        (("iso", BO, "--algebras", "B,O"),
+         1, "57665c534b9538778777d76fcd142ab16cee908a6e2936491108dbf9bffed54b"),
+        (("retracts", BO, "--algebra", "O", "--image", "o1,o4"),
+         0, "c8608ce4a2ec094ba90738bc092b17f56ead08096534a4ba73e47bdac0cbc270"),
+        (("retracts", SMALL, "--algebra", "V2_2", "--image", "v0,v1"),
+         0, "398c58e3affc1598a5ccfcb7659bb6eba6c0e30e08a7b233b7a9cf836e62f560"),
+        (("reduct", BO, "--algebra", "O", "--keep", "and,or", "--name", "Olat"),
+         0, "2d7e1cebf0e11ae344dfed7b0791bc7bd895cb2160ec128e5956093804e86fe7"),
+        (("product", BO, "--algebras", "B,O", "--elements", "s,t,u,v,w,x,y,z"),
+         0, "ae5bafde5497977760874ecb0e26ece334c90738a4194fa50c7782dec0bf2c55"),
+        (("free-retract", "--gens", "1", "--bound", "8", "--image-bound", "3"),
+         1, "c2bb4d0f8d1b5f87c4dc986affca015ac9da5e60514c23bf1cabb47ae72f2016"),
+        (("free-retract", "--gens", "2", "--bound", "3", "--image-bound", "3"),
+         0, "00c8e0c29ad2407d0124aa8733738a260d0db84bb9366573ad2b7fcc52bbcb58"),
+        (("rp", "retract", BO, "--algebra", "B", "--gen", "per b1 b2", "--index", "2"),
+         0, "6eac3859207aeb265ed9bb9e58a717f4b9465b47b69e1f4772e7801496cb2c38"),
+    ]
+    for argv, expected_code, digest in cases:
+        code, out, _ = run(capsys, "--json", *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (expected_code, digest), argv
+
+
 def test_clone_budget_cuts_match_run_by_run_close(capsys, monkeypatch):
     # every budget up to the 342 attempts of the complete L2 fragment of
     # arity 3, against the closure that composes and tests one run at a time
@@ -335,6 +380,18 @@ def test_retracts_unknown_image_element(capsys):
     assert_one_line_input_error(code, out, err, "unknown element: zz")
     code, out, err = run(capsys, "retracts", BO, "--algebra", "O", "--image", "o1,zz")
     assert_one_line_input_error(code, out, err, "unknown element: zz")
+
+
+def test_retracts_image_not_a_subuniverse(capsys):
+    # the first escaping application, in term syntax
+    for argv, application in [
+        ((BO, "--algebra", "O", "--image", "o1,o2"), "one() = o4"),
+        ((BO, "--algebra", "O", "--image", "o1,o2,o4"), "not(o2) = o3"),
+        ((SMALL, "--algebra", "V2_2", "--image", "v0,v1,v2"), "add(v1, v2) = v3"),
+    ]:
+        code, out, err = run(capsys, "retracts", *argv)
+        assert_one_line_input_error(code, out, err,
+                                    f"not a subuniverse, escaping application: {application}")
 
 
 def test_reduct_unknown_symbol(capsys):

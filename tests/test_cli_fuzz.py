@@ -2,10 +2,12 @@
 subcommands, their options, random tokens and odd strings: exit 0, 1 or
 2; no exception out of `main`; exit 1 only with a printed verdict; exit 2
 with a message on stderr; the same exit code and the same `--json`
-bytes on a second run."""
+bytes on a second run; `--json` output in the layout of
+`json.dumps(..., indent=2)` with one trailing newline."""
 
 import contextlib
 import io
+import json
 
 from hypothesis import given, settings, strategies as st
 
@@ -110,3 +112,6 @@ def test_cli_keeps_its_contract_on_any_argv(data):
     assert again[0] == code
     if "--json" in argv:
         assert again[1] == out, argv
+        # a verdict or a result, not the help text that --help prints
+        if code in (0, 1) and not out.startswith("usage:"):
+            assert json.dumps(json.loads(out), indent=2) + "\n" == out, argv

@@ -14,13 +14,32 @@ from ualg import (
 )
 from ualg.catalog import boolean_2, boolean_4, cyclic_group, lattice_2, vector_space_gf
 from ualg.presets import PRESET_NAMES, finite_field
-from ualg.terms import EvalStats, term_to_str
+from ualg.generation import clone_n
+from ualg.terms import EvalStats, render_terms, term_to_str
 
 
 def test_parse_roundtrip():
     t = parse_term("and(x, or(y, one()))", ("x", "y"))
     assert t == App("and", (Var(0), App("or", (Var(1), App("one", ())))))
     assert term_to_str(t, ("x", "y")) == "and(x, or(y, one()))"
+
+
+def naive_term_to_str(term, variables):
+    if isinstance(term, Var):
+        return variables[term.index]
+    return f"{term.symbol}({', '.join(naive_term_to_str(a, variables) for a in term.args)})"
+
+
+def test_render_terms_renders_shared_subterms_as_written():
+    # clone witnesses are built from earlier members, so they share subterms;
+    # a subterm shared within one term and an equal but distinct copy as well
+    witnesses = [m.witness for m in clone_n(boolean_2(), 3).members]
+    x, y = Var(0), Var(1)
+    shared = App("and", (x, y))
+    witnesses += [App("or", (shared, shared)), App("or", (shared, App("and", (x, y))))]
+    variables = ("x1", "x2", "x3")
+    assert render_terms(witnesses, variables) == [naive_term_to_str(t, variables)
+                                                  for t in witnesses]
 
 
 def test_parse_errors():
