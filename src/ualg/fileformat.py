@@ -169,9 +169,11 @@ def parse_equation_file(text: str, name: str = "equations") -> EquationSet:
             continue
         if tokens[0] == "vars":
             variables = tuple(tokens[1:])
-            for v in variables:
+            for j, v in enumerate(variables):
                 if not IDENT_RE.match(v):
                     raise ParseError(lineno, 1, f"bad variable token: {v!r}")
+                if v in variables[:j]:
+                    raise ParseError(lineno, 1, f"repeated variable: {v}")
             seen_vars = True
         elif tokens[0] == "eq":
             if not seen_vars:

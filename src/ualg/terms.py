@@ -10,8 +10,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .core import (FiniteAlgebra, Rows, UalgError, UnknownElement, as_row, gather,
-                   gather_blocks, pack, spread, weighted_sum)
+from .core import (PACK_LIMIT, FiniteAlgebra, Rows, UalgError, UnknownElement, as_row,
+                   gather, gather_blocks, pack, spread, weighted_sum)
 
 
 class TermError(UalgError):
@@ -69,9 +69,15 @@ def term_to_str(term: Term, variables: Sequence[str]) -> str:
 
 _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[(),])")
 
+# The most applications a parsed term may nest.  Printing, compiling and
+# evaluating a term recurse on its depth; this bound keeps every one of
+# them well inside Python's default recursion limit.
+MAX_TERM_DEPTH = 256
+
 
 def parse_term(text: str, variables: Sequence[str]) -> Term:
-    """Parse prefix term syntax: `and(x, or(y, one()))`."""
+    """Parse prefix term syntax: `and(x, or(y, one()))`.  A term nested
+    more than `MAX_TERM_DEPTH` applications deep is a TermError."""
     tokens: list[str] = []
     pos = 0
     while pos < len(text):
@@ -84,19 +90,21 @@ def parse_term(text: str, variables: Sequence[str]) -> Term:
         pos = m.end()
     var_index = {v: i for i, v in enumerate(variables)}
 
-    def parse(at: int) -> tuple[Term, int]:
+    def parse(at: int, depth: int) -> tuple[Term, int]:
         if at >= len(tokens):
             raise TermError("unexpected end of term")
         tok = tokens[at]
         if tok in "(),":
             raise TermError(f"unexpected {tok!r} in term")
         if at + 1 < len(tokens) and tokens[at + 1] == "(":
+            if depth == MAX_TERM_DEPTH:
+                raise TermError(f"term nested more than {MAX_TERM_DEPTH} applications deep")
             args: list[Term] = []
             at += 2
             if at < len(tokens) and tokens[at] == ")":
                 return App(tok, ()), at + 1
             while True:
-                arg, at = parse(at)
+                arg, at = parse(at, depth + 1)
                 args.append(arg)
                 if at >= len(tokens):
                     raise TermError("unclosed application")
@@ -109,7 +117,7 @@ def parse_term(text: str, variables: Sequence[str]) -> Term:
             raise TermError(f"undeclared variable: {tok}")
         return Var(var_index[tok]), at + 1
 
-    term, end = parse(0)
+    term, end = parse(0, 0)
     if end != len(tokens):
         raise TermError(f"trailing tokens in term: {tokens[end:]}")
     return term
@@ -208,9 +216,10 @@ class SatisfactionResult:
 # of U changes.  A node that does not depend on that variable is *outer*
 # and holds one value per block; every other node is *full* and holds one
 # per binding.  Equations are checked over ranges of whole blocks: the
-# first range is short, so an early counterexample costs little, and each
-# later one is as long as all before it, up to a cap that bounds the
-# memory of the per-node vectors.
+# first range is short, so an early counterexample costs little, and
+# every later one is long, so a law that holds pays each node's fixed
+# cost a few times, while the length bounds the memory of the per-node
+# vectors.
 _FIRST_RANGE = 64  # bindings, rounded down to whole blocks, at least one
 _MAX_RANGE = 4096
 
@@ -268,7 +277,7 @@ def _plan(program: list[tuple], used: list[int], k: int,
         if table is None:
             is_full = arg == last
             step = (_LAST, None, None) if is_full else (_VAR, stride[arg], None)
-        elif len(arg) == 2 and full[arg[0]] != full[arg[1]]:
+        elif len(arg) == 2 and full[arg[0]] != full[arg[1]] and k * k > PACK_LIMIT:
             is_full, transposed = True, full[arg[0]]
             step = (_BLOCKS, _rows(rows, table, k, transposed),
                     arg[::-1] if transposed else arg)
@@ -295,10 +304,12 @@ def _run(steps: list[tuple], k: int, first: int, blocks: int) -> list:
     `core.pack`: one value per block for an outer node, one per binding,
     block after block, for a full one.  The last variable is the carrier
     repeated; another variable or a constant is one value per block.  A
-    unary node is one gather; a binary node on one outer and one full
-    argument gathers each block with the row of the outer value; any
-    other node spreads its outer arguments to full if it is full, and
-    gathers its table at the stride-weighted sum of its arguments."""
+    unary node is one gather.  A binary node on one outer and one full
+    argument, when its table has more than `PACK_LIMIT` cells, gathers
+    each block with the row of the outer value.  Any other node spreads
+    its outer arguments to full if it is full, and gathers its table at
+    the stride-weighted sum of its arguments: with at most `PACK_LIMIT`
+    cells that is one translate for the whole range."""
     values: list = []
     for code, x, arg in steps:
         if code == _LAST:
@@ -335,7 +346,7 @@ def _satisfies(alg: FiniteAlgebra, eq: Equation,
     max_range = max(1, _MAX_RANGE // k)
     start = 0
     while start < total:
-        blocks = min(total - start, max(start, first_range), max_range)
+        blocks = min(total - start, max_range if start else first_range)
         values = _run(steps, k, start, blocks)
         left, right = values[lhs], values[rhs]
         if full[lhs] != full[rhs]:
@@ -359,7 +370,8 @@ def satisfies(alg: FiniteAlgebra, eq: Equation) -> SatisfactionResult:
     ones that do not occur take the first carrier element.  Both sides
     are evaluated into packed vectors over ranges of whole blocks of the
     last variable that occurs, each shared subterm once per range, with
-    row gathers where an argument holds one value per block."""
+    row gathers where an argument holds one value per block and the
+    table is too large for one translate."""
     return _satisfies(alg, eq, {})
 
 

@@ -405,6 +405,30 @@ def test_eval_repeated_variable(capsys):
     assert_one_line_input_error(code, out, err, "repeated variable in --bind: x")
 
 
+@pytest.mark.parametrize("depth", [256, 257])
+def test_eval_nested_term(capsys, depth):
+    term = "not(" * depth + "x" + ")" * depth
+    code, out, err = run(capsys, "eval", BO, "--algebra", "O", "--term", term, "--bind", "x=o2")
+    if depth == 256:
+        assert (code, out, err) == (0, "o2\n", "")
+    else:
+        assert_one_line_input_error(code, out, err,
+                                    "term nested more than 256 applications deep")
+
+
+@pytest.mark.parametrize("depth", [256, 257])
+def test_satisfies_nested_equation(capsys, tmp_path, depth):
+    eqs = tmp_path / "deep.eq"
+    eqs.write_text("vars x\neq " + "not(" * depth + "x" + ")" * depth + " = x\n")
+    code, out, err = run(capsys, "satisfies", BO, str(eqs), "--algebra", "B")
+    if depth == 256:
+        assert code == 0 and "variety member" in out and err == ""
+    else:
+        assert_one_line_input_error(
+            code, out, err,
+            f"{eqs}: line 2, column 1: term nested more than 256 applications deep")
+
+
 def test_parser_is_built_once(capsys, monkeypatch):
     import ualg.cli as cli
 

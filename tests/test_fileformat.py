@@ -116,6 +116,8 @@ def test_equation_file_errors():
         parse_equation_file("vars x\neq x")
     with pytest.raises(ParseError):
         parse_equation_file("vars x\nnonsense")
+    with pytest.raises(ParseError, match="repeated variable: x"):
+        parse_equation_file("vars x y x\neq x = y")
 
 
 def test_shipped_files_parse(data_dir):

@@ -637,6 +637,8 @@ def kernel_equation(seed):
     App("b", (Var(1), App("u", (Var(1),)))), App("b", (App("u", (Var(1),)), Var(1))), ("x", "y"))))
 @example((kernel_algebra(random.Random(2), 16), Equation(   # ternary on per-block arguments
     App("b", (App("t", (Var(0), Var(0), App("c", ()))), Var(1))), Var(1), ("x", "y"))))
+@example((kernel_algebra(random.Random(3), 16), Equation(   # binary on mixed arguments, k*k <= 256
+    App("b", (Var(0), Var(1))), App("b", (Var(1), Var(0))), ("x", "y"))))
 def test_satisfies_matches_argument_columns(case):
     alg, eq = case
     assert satisfies(alg, eq) == column_satisfies(alg, eq)

@@ -60,7 +60,7 @@ def test_satisfies_matches_oracle(seed):
     assert outcome(satisfies, alg, eq) == outcome(oracle_satisfies, alg, eq)
 
 
-N = 14  # 2**14 bindings: ranges of 64, 64, 128, ..., 2048, then three of 4096
+N = 14  # 2**14 bindings: ranges of 64, then 4096 each, and 4032 last
 VARIABLES = tuple(f"x{i}" for i in range(N))
 ALL_VARS = tuple(Var(i) for i in range(N))
 
@@ -73,7 +73,8 @@ def marker_algebra(t):
                             [("f", N, table), ("g", N, table), ("c", 0, ["e0"])])
 
 
-@pytest.mark.parametrize("t", [0, 63, 64, 4095, 4096, 8191, 8192, 2**N - 1])
+@pytest.mark.parametrize("t", [0, 63, 64, 4095, 4096, 4159, 4160, 8191, 8192, 8255, 8256,
+                               12351, 12352, 2**N - 1])
 def test_only_counterexample_at_range_boundaries(t):
     eq = Equation(App("f", ALL_VARS), App("c", ()), VARIABLES)
     res = satisfies(marker_algebra(t), eq)
