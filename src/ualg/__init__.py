@@ -44,7 +44,6 @@ from .generation import (
     GenerationTrace,
     all_subuniverses,
     clone_n,
-    finiteness_report,
     generate,
 )
 from .morphisms import (
@@ -59,7 +58,6 @@ from .products import (
     RelabeledProduct,
     direct_product,
     mediating_morphism,
-    verify_universal_property,
 )
 from .free_semigroup import (
     TruncatedFreeSemigroup,
@@ -81,7 +79,6 @@ from .fileformat import (
     parse_equation_file,
     serialize_algebra,
     serialize_algebras,
-    serialize_equation_set,
 )
 
 __version__ = "0.1.0"

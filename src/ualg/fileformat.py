@@ -191,14 +191,3 @@ def parse_equation_file(text: str, name: str = "equations") -> EquationSet:
         else:
             raise ParseError(lineno, 1, f"unknown directive: {tokens[0]!r}")
     return EquationSet(name=name, equations=tuple(equations))
-
-
-def serialize_equation_set(eqs: EquationSet) -> str:
-    lines = []
-    current_vars = None
-    for eq in eqs.equations:
-        if eq.variables != current_vars:
-            current_vars = eq.variables
-            lines.append(f"vars {' '.join(current_vars)}")
-        lines.append(f"eq {eq.render()}")
-    return "\n".join(lines) + "\n"

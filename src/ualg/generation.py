@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import BudgetExceeded, FiniteAlgebra, Subuniverse, UalgError, UnknownElement
 from .core import close, is_subuniverse
@@ -129,37 +129,3 @@ def clone_n(alg: FiniteAlgebra, n: int, budget: int = 1_000_000) -> CloneFragmen
         terms.append(App(sym, tuple(terms[a] for a in args)))
     members = tuple(CloneMember(table=t, witness=w) for t, w in sorted(zip(tables, terms)))
     return CloneFragment(algebra=alg.name, arity=n, members=members, complete=complete)
-
-
-@dataclass(frozen=True)
-class FinitenessReport:
-    """Finite-case generation facts: a minimum generating set and the
-    subuniverse lattice when the carrier is small enough to enumerate it.
-    (Every subset of a finite algebra generates a finite subalgebra.)"""
-
-    algebra: str
-    minimum_generating_set: tuple[str, ...]
-    subuniverse_lattice: Optional[tuple[tuple[str, ...], ...]]
-
-
-def finiteness_report(alg: FiniteAlgebra, lattice_max_size: int = 5) -> FinitenessReport:
-    """Exhaustive minimum-generating-set search by increasing cardinality,
-    plus the subuniverse lattice for carriers of size <= lattice_max_size."""
-    minimum: Optional[tuple[str, ...]] = None
-    full = set(alg.carrier)
-    for r in range(len(alg.carrier) + 1):
-        for subset in itertools.combinations(alg.carrier, r):
-            if set(generate(alg, subset).members) == full:
-                minimum = subset
-                break
-        if minimum is not None:
-            break
-    assert minimum is not None  # the full carrier always generates
-    lattice = None
-    if len(alg.carrier) <= lattice_max_size:
-        lattice = all_subuniverses(alg, max_size=lattice_max_size)
-    return FinitenessReport(
-        algebra=alg.name,
-        minimum_generating_set=minimum,
-        subuniverse_lattice=lattice,
-    )

@@ -15,7 +15,6 @@ from .core import gather, pack, weighted_sum
 from .morphisms import (
     Morphism,
     check_homomorphism,
-    enumerate_homomorphisms,
     _require_shared_signature,
 )
 
@@ -195,40 +194,3 @@ def mediating_morphism(
     return MediationResult(
         morphism=phi, preservation=tuple(preservation), commutation_ok=commutation
     )
-
-
-@dataclass(frozen=True)
-class ConeVerdict:
-    legs: tuple[tuple[str, ...], ...]  # image tuples of each leg
-    mediates: bool
-
-
-@dataclass(frozen=True)
-class UniversalPropertyReport:
-    apex: str
-    cones: tuple[ConeVerdict, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.mediates for c in self.cones)
-
-
-def verify_universal_property(
-    prod: RelabeledProduct,
-    test_apices: Sequence[FiniteAlgebra],
-) -> tuple[UniversalPropertyReport, ...]:
-    """For every apex and every cone of homomorphisms into the factors,
-    confirm the mediating morphism exists and commutes.  It is unique:
-    the product carrier is in bijection with the tuples of factor
-    elements, so one element fits each apex element's legs."""
-    reports = []
-    for apex in test_apices:
-        _require_shared_signature(apex, prod.product)
-        hom_lists = [enumerate_homomorphisms(apex, f) for f in prod.factors]
-        verdicts = []
-        for legs in itertools.product(*hom_lists):
-            result = mediating_morphism(apex, legs, prod)
-            verdicts.append(ConeVerdict(legs=tuple(leg.images for leg in legs),
-                                        mediates=result.all_ok))
-        reports.append(UniversalPropertyReport(apex=apex.name, cones=tuple(verdicts)))
-    return tuple(reports)

@@ -7,7 +7,7 @@ and commas, variables bare, nullary symbols written name().
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .core import (PACK_LIMIT, FiniteAlgebra, Rows, UalgError, UnknownElement, as_row,
@@ -61,10 +61,6 @@ def _render(term: Term, variables: Sequence[str], memo: dict[int, str]) -> str:
         text = memo[id(term)] = (
             f"{term.symbol}({', '.join([_render(a, variables, memo) for a in term.args])})")
     return text
-
-
-def term_to_str(term: Term, variables: Sequence[str]) -> str:
-    return render_terms((term,), variables)[0]
 
 
 _TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[(),])")
@@ -131,11 +127,14 @@ class Equation:
     rhs: Term
     variables: tuple[str, ...]
     label: str = ""
+    # the indices of the variables that occur, ascending
+    used: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        used = term_variables(self.lhs) | term_variables(self.rhs)
-        if used and max(used) >= len(self.variables):
+        used = sorted(term_variables(self.lhs) | term_variables(self.rhs))
+        if used and used[-1] >= len(self.variables):
             raise TermError("equation uses an undeclared variable index")
+        object.__setattr__(self, "used", tuple(used))
 
     def render(self) -> str:
         return " = ".join(render_terms((self.lhs, self.rhs), self.variables))
@@ -158,30 +157,16 @@ class EquationSet:
         return tuple(out)
 
 
-class EvalStats:
-    """Counts table lookups (one per application node, by construction)."""
-
-    def __init__(self):
-        self.lookups = 0
-
-
-def _check_app(alg: FiniteAlgebra, term: App) -> None:
-    """The TermError for an unknown symbol or a wrong argument count."""
-    if term.symbol not in alg.signature.by_name:
-        raise TermError(f"unknown symbol: {term.symbol}")
-    if alg.signature.arity(term.symbol) != len(term.args):
-        raise TermError(
-            f"arity mismatch for {term.symbol}: signature says "
-            f"{alg.signature.arity(term.symbol)}, term has {len(term.args)}"
-        )
+def _app_error(term: App, arity: Optional[int]) -> TermError:
+    """The error of an application whose symbol has `arity`, None for a
+    symbol outside the signature, when that is not its argument count."""
+    if arity is None:
+        return TermError(f"unknown symbol: {term.symbol}")
+    return TermError(f"arity mismatch for {term.symbol}: signature says {arity}, "
+                     f"term has {len(term.args)}")
 
 
-def eval_term(
-    alg: FiniteAlgebra,
-    term: Term,
-    binding: dict[int, str],
-    stats: Optional[EvalStats] = None,
-) -> str:
+def eval_term(alg: FiniteAlgebra, term: Term, binding: dict[int, str]) -> str:
     """Structural evaluation: variables project, applications evaluate
     their subterms and then do a single table lookup."""
     if isinstance(term, Var):
@@ -192,11 +177,10 @@ def eval_term(
         if value not in alg.index_of:
             raise UnknownElement(f"unknown element: {value}")
         return value
-    _check_app(alg, term)
-    args = [eval_term(alg, a, binding, stats) for a in term.args]
-    if stats is not None:
-        stats.lookups += 1
-    return alg.apply(term.symbol, *args)
+    arity = alg.signature.by_name.get(term.symbol)
+    if arity != len(term.args):
+        raise _app_error(term, arity)
+    return alg.apply(term.symbol, *[eval_term(alg, a, binding) for a in term.args])
 
 
 @dataclass(frozen=True)
@@ -205,6 +189,8 @@ class SatisfactionResult:
     counterexample: Optional[dict[str, str]] = None
 
 
+_HOLDS = SatisfactionResult(True)
+
 # An identity holds iff it holds under every assignment of the variables
 # that occur in it, so bindings range over those, U, and are numbered
 # row-major (the first variable most significant): binding t gives U[j]
@@ -212,42 +198,52 @@ class SatisfactionResult:
 # outside U takes index 0; the first violating binding over the declared
 # variables then sets it to 0 too, so the report is unchanged.
 #
+# The laws with one U form a *group*: their sides are compiled into one
+# program, in which a subterm shared between or within laws is one node,
+# and the group is planned once and run once per range.  After each range
+# every live law compares its two sides; a law that fails records its
+# first counterexample and leaves the group, and nodes that no live law
+# reads are skipped from then on.
+#
 # A block is the k consecutive bindings in which only the last variable
 # of U changes.  A node that does not depend on that variable is *outer*
 # and holds one value per block; every other node is *full* and holds one
-# per binding.  Equations are checked over ranges of whole blocks: the
+# per binding.  Groups are checked over ranges of whole blocks: the
 # first range is short, so an early counterexample costs little, and
 # every later one is long, so a law that holds pays each node's fixed
 # cost a few times, while the length bounds the memory of the per-node
 # vectors.
 _FIRST_RANGE = 64  # bindings, rounded down to whole blocks, at least one
 _MAX_RANGE = 4096
+# A group is checked, and its program dropped, once it holds this many
+# nodes: a range then holds at most this many vectors beyond those of the
+# law that filled the group, however many laws are checked.
+_MAX_NODES = 128
 
-# step codes of a law's plan (see _plan)
-_LAST, _VAR, _CONST, _UNARY, _BLOCKS, _TABLE = range(6)
+# step codes of a group's plan (see _plan)
+_LAST, _VAR, _CONST, _UNARY, _JOIN, _BLOCKS, _TABLE, _SKIP = range(8)
+_UNKNOWN = (None, None)  # the (table, arity) of a symbol outside the signature
 
 
-def _compile(
-    alg: FiniteAlgebra,
-    term: Term,
-    n: int,
-    slots: dict,
-    program: list[tuple],
-) -> int:
+def _compile(ops: dict[str, tuple], term: Term, n: int, slots: dict,
+             program: list[tuple]) -> int:
     """Append the nodes of `term` not yet in `program` to it, children
     first, and return the slot of its value.  A node is (None, variable
     index) or (table, argument slots); `slots` maps the variable index or
     (symbol, argument slots) of each node to its slot, so a repeated
-    subterm has one.  Raises the TermError that eval_term would raise
-    first on this term (pre-order, left to right)."""
-    if isinstance(term, Var):
+    subterm has one.  `ops` maps each symbol to its (table, arity).
+    Raises the TermError that eval_term would raise first on this term
+    (pre-order, left to right)."""
+    if type(term) is Var:
         if not 0 <= term.index < n:
             raise TermError(f"unbound variable index {term.index}")
         key, step = term.index, (None, term.index)
     else:
-        _check_app(alg, term)
-        args = tuple(_compile(alg, a, n, slots, program) for a in term.args)
-        key, step = (term.symbol, args), (alg.table(term.symbol), args)
+        table, arity = ops.get(term.symbol, _UNKNOWN)
+        if arity != len(term.args):
+            raise _app_error(term, arity)
+        args = tuple([_compile(ops, a, n, slots, program) for a in term.args])
+        key, step = (term.symbol, args), (table, args)
     slot = slots.get(key)
     if slot is None:
         slots[key] = slot = len(program)
@@ -255,20 +251,20 @@ def _compile(
     return slot
 
 
-def _rows(rows: dict[tuple[int, bool], Rows], table: Sequence[int], k: int,
-          transposed: bool) -> Rows:
-    """The `core.Rows` of a table in one orientation, made on first use."""
-    key = (id(table), transposed)
+def _shared(rows: dict, code: int, table: Sequence[int], transposed: bool, make):
+    """What steps of kind `code` read of a table, made on first use."""
+    key = (code, id(table), transposed)
     if key not in rows:
-        rows[key] = Rows(table, k, k, transposed)
+        rows[key] = make()
     return rows[key]
 
 
-def _plan(program: list[tuple], used: list[int], k: int,
-          rows: dict[tuple[int, bool], Rows]) -> tuple[list[tuple], list[bool]]:
+def _plan(program: list[tuple], used: Sequence[int], k: int,
+          rows: dict) -> tuple[list[tuple], list[bool]]:
     """One pass over a compiled program: each node's step for `_run`, and
-    whether it is full.  `rows` holds the table rows built so far, keyed
-    by table identity and orientation."""
+    whether it is full.  `rows` holds what the steps read of each table,
+    keyed by step code, table identity and orientation, so that every
+    group of one check builds it once."""
     last = used[-1] if used else None
     stride = {v: k ** (len(used) - 2 - j) for j, v in enumerate(used[:-1])}
     steps: list[tuple] = []
@@ -279,21 +275,29 @@ def _plan(program: list[tuple], used: list[int], k: int,
             step = (_LAST, None, None) if is_full else (_VAR, stride[arg], None)
         elif len(arg) == 2 and full[arg[0]] != full[arg[1]] and k * k > PACK_LIMIT:
             is_full, transposed = True, full[arg[0]]
-            step = (_BLOCKS, _rows(rows, table, k, transposed),
-                    arg[::-1] if transposed else arg)
+            outer, inner = arg[::-1] if transposed else arg
+            if k <= PACK_LIMIT and program[inner][0] is None:
+                # the full argument is the last variable: each block is
+                # the table row (or column) of the outer value
+                step = (_JOIN, _shared(rows, _JOIN, table, transposed, lambda: [
+                    bytes(table[r::k] if transposed else table[r * k:(r + 1) * k])
+                    for r in range(k)]), outer)
+            else:
+                step = (_BLOCKS, _shared(rows, _BLOCKS, table, transposed,
+                                         lambda: Rows(table, k, k, transposed)), (outer, inner))
         elif len(arg) == 1:
             is_full = full[arg[0]]
-            step = (_UNARY, _rows(rows, table, k, False)[0], arg[0])
+            step = (_UNARY, _shared(rows, _UNARY, table, False, lambda: as_row(table, k)), arg[0])
         elif not arg:
             is_full, step = False, (_CONST, table[0], None)
         else:
             # each argument, spread to full if the node is full, weighted
             # by its row-major stride: the sum indexes the table as one row
             is_full = any(full[a] for a in arg)
-            arity = len(arg)
-            weights = [k ** (arity - 1 - j) for j in range(arity)]
-            step = (_TABLE, (as_row(table, k**arity), weights, k**arity),
-                    tuple((a, full[a] or not is_full) for a in arg))
+            n = k ** len(arg)
+            step = (_TABLE, _shared(rows, _TABLE, table, False, lambda: (
+                as_row(table, n), [n // k ** (j + 1) for j in range(len(arg))], n)),
+                tuple((a, full[a] or not is_full) for a in arg))
         steps.append(step)
         full.append(is_full)
     return steps, full
@@ -305,11 +309,13 @@ def _run(steps: list[tuple], k: int, first: int, blocks: int) -> list:
     block after block, for a full one.  The last variable is the carrier
     repeated; another variable or a constant is one value per block.  A
     unary node is one gather.  A binary node on one outer and one full
-    argument, when its table has more than `PACK_LIMIT` cells, gathers
-    each block with the row of the outer value.  Any other node spreads
-    its outer arguments to full if it is full, and gathers its table at
-    the stride-weighted sum of its arguments: with at most `PACK_LIMIT`
-    cells that is one translate for the whole range."""
+    argument, when its table has more than `PACK_LIMIT` cells, takes each
+    block from the row of the outer value: a join of prebuilt rows when
+    the full argument is the last variable and the carrier fits in bytes,
+    else one gather per block.  Any other node spreads its outer
+    arguments to full if it is full, and gathers its table at the
+    stride-weighted sum of its arguments: with at most `PACK_LIMIT` cells
+    that is one translate for the whole range.  A skipped node is None."""
     values: list = []
     for code, x, arg in steps:
         if code == _LAST:
@@ -320,45 +326,96 @@ def _run(steps: list[tuple], k: int, first: int, blocks: int) -> list:
             value = pack((x,), k) * blocks
         elif code == _UNARY:
             value = gather(x, values[arg])
+        elif code == _JOIN:
+            value = bytearray().join(map(x.__getitem__, values[arg]))
         elif code == _BLOCKS:
             value = gather_blocks(x, values[arg[0]], values[arg[1]], k)
-        else:
+        elif code == _TABLE:
             row, weights, n = x
             cols = [values[a] if kept else spread(values[a], k) for a, kept in arg]
             value = pack(gather(row, weighted_sum(cols, weights, n, len(cols[0]))), k)
+        else:
+            value = None
         values.append(value)
     return values
 
 
-def _satisfies(alg: FiniteAlgebra, eq: Equation,
-               rows: dict[tuple[int, bool], Rows]) -> SatisfactionResult:
-    n = len(eq.variables)
-    slots: dict = {}
-    program: list[tuple] = []
-    lhs = _compile(alg, eq.lhs, n, slots, program)
-    rhs = _compile(alg, eq.rhs, n, slots, program)
+def _skip_unread(steps: list[tuple], program: list[tuple], laws: list[tuple]) -> list[tuple]:
+    """`steps` with every node that no side of `laws` reads made a skip."""
+    read = [False] * len(program)
+    for _, lhs, rhs in laws:
+        read[lhs] = read[rhs] = True
+    for i in range(len(program) - 1, -1, -1):  # children come before parents
+        table, arg = program[i]
+        if read[i] and table is not None:
+            for a in arg:
+                read[a] = True
+    return [step if r else (_SKIP, None, None) for step, r in zip(steps, read)]
+
+
+def _check_group(alg: FiniteAlgebra, equations: Sequence[Equation], used: Sequence[int],
+                 program: list[tuple], laws: list[tuple], rows: dict,
+                 results: list) -> None:
+    """Set results[i] for each law (i, lhs slot, rhs slot) of one group."""
     k = len(alg.carrier)
-    used = sorted({arg for table, arg in program if table is None})
     steps, full = _plan(program, used, k, rows)
     m = len(used)
     total = k ** (m - 1) if m else 1
     first_range = max(1, _FIRST_RANGE // k)
     max_range = max(1, _MAX_RANGE // k)
     start = 0
-    while start < total:
+    while laws and start < total:
         blocks = min(total - start, max_range if start else first_range)
         values = _run(steps, k, start, blocks)
-        left, right = values[lhs], values[rhs]
-        if full[lhs] != full[rhs]:
-            left, right = (left, spread(right, k)) if full[lhs] else (spread(left, k), right)
-        if left != right:
+        live = []
+        for law in laws:
+            i, lhs, rhs = law
+            left, right = values[lhs], values[rhs]
+            if full[lhs] != full[rhs]:
+                left, right = (left, spread(right, k)) if full[lhs] else (spread(left, k), right)
+            if left == right:
+                live.append(law)
+                continue
             # a side is full once a variable occurs; with none, t is 0
             t = start * k + next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
-            value = {v: (t // k ** (m - 1 - i)) % k for i, v in enumerate(used)}
-            named = {name: alg.carrier[value.get(i, 0)] for i, name in enumerate(eq.variables)}
-            return SatisfactionResult(False, named)
+            value = {v: (t // k ** (m - 1 - j)) % k for j, v in enumerate(used)}
+            results[i] = SatisfactionResult(False, {
+                name: alg.carrier[value.get(j, 0)]
+                for j, name in enumerate(equations[i].variables)})
+        if live and len(live) < len(laws):
+            steps = _skip_unread(steps, program, live)
+        laws = live
         start += blocks
-    return SatisfactionResult(True)
+        del values  # before the next range's vectors are built
+    for i, _, _ in laws:
+        results[i] = _HOLDS
+
+
+def _check_laws(alg: FiniteAlgebra, equations: Sequence[Equation]) -> list[SatisfactionResult]:
+    """The verdict of each law, in order.  The laws are compiled in order,
+    each into the open group of the variables it uses, so the first
+    TermError raised is the first in law order, and in pre-order within
+    the law, lhs first.  A group is checked when it reaches `_MAX_NODES`
+    nodes, and every group left open after the last law; the groups
+    share the table rows that their plans build."""
+    ops = {symbol: (table, arity)
+           for (symbol, arity), table in zip(alg.signature.symbols, alg.tables)}
+    rows: dict = {}
+    results: list = [None] * len(equations)
+    groups: dict[tuple[int, ...], tuple[dict, list, list]] = {}
+    for i, eq in enumerate(equations):
+        if eq.used not in groups:
+            groups[eq.used] = ({}, [], [])
+        slots, program, laws = groups[eq.used]
+        n = len(eq.variables)
+        laws.append((i, _compile(ops, eq.lhs, n, slots, program),
+                     _compile(ops, eq.rhs, n, slots, program)))
+        if len(program) >= _MAX_NODES:
+            _check_group(alg, equations, eq.used, program, laws, rows, results)
+            del groups[eq.used]
+    for used, (_, program, laws) in groups.items():
+        _check_group(alg, equations, used, program, laws, rows, results)
+    return results
 
 
 def satisfies(alg: FiniteAlgebra, eq: Equation) -> SatisfactionResult:
@@ -367,12 +424,11 @@ def satisfies(alg: FiniteAlgebra, eq: Equation) -> SatisfactionResult:
     named.
 
     Only the variables that occur in the equation are bound: declared
-    ones that do not occur take the first carrier element.  Both sides
-    are evaluated into packed vectors over ranges of whole blocks of the
-    last variable that occurs, each shared subterm once per range, with
-    row gathers where an argument holds one value per block and the
-    table is too large for one translate."""
-    return _satisfies(alg, eq, {})
+    ones that do not occur take the first carrier element.  This is
+    `satisfies_all` on one law: both sides are compiled into one program,
+    each shared subterm one node, and evaluated into packed vectors over
+    ranges of whole blocks of the last variable that occurs."""
+    return _check_laws(alg, (eq,))[0]
 
 
 @dataclass(frozen=True)
@@ -387,11 +443,16 @@ class SatisfactionReport:
 
 
 def satisfies_all(alg: FiniteAlgebra, eqs: EquationSet) -> SatisfactionReport:
-    """Per-equation verdicts in equation order; "variety member" iff all
-    pass.  The laws share the table rows that their checks build."""
-    rows: dict[tuple[int, bool], Rows] = {}
+    """Per-equation verdicts in equation order, each as `satisfies` gives
+    it; "variety member" iff all pass.  The set is checked as one program
+    per group of laws that use the same variables: a subterm shared
+    between laws of a group is one node, the group is compiled and
+    planned once and each range is run once for all its live laws.  A
+    group holds at most `_MAX_NODES` nodes beyond its last law's, so the
+    memory of a range does not grow with the number of laws.  Raises the
+    first TermError in equation order."""
     return SatisfactionReport(
         algebra=alg.name,
         equation_set=eqs.name,
-        results=tuple((eq, _satisfies(alg, eq, rows)) for eq in eqs.equations),
+        results=tuple(zip(eqs.equations, _check_laws(alg, eqs.equations))),
     )

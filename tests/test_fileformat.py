@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ualg import (
+    App,
+    Equation,
+    EquationSet,
     ParseError,
+    Var,
     parse_algebra_file,
     parse_equation_file,
     serialize_algebra,
     serialize_algebras,
-    serialize_equation_set,
 )
 from conftest import random_algebra
 
@@ -103,8 +106,11 @@ def test_round_trip_property(seed):
 def test_equation_file_round_trip():
     text = "vars x y\neq and(x, y) = and(y, x)\neq or(x, x) = x\n"
     eqs = parse_equation_file(text, name="t")
-    assert len(eqs.equations) == 2
-    assert serialize_equation_set(eqs) == text
+    x, y = Var(0), Var(1)
+    assert eqs == EquationSet("t", (
+        Equation(App("and", (x, y)), App("and", (y, x)), ("x", "y")),
+        Equation(App("or", (x, x)), x, ("x", "y"))))
+    assert [eq.render() for eq in eqs.equations] == ["and(x, y) = and(y, x)", "or(x, x) = x"]
 
 
 def test_equation_file_errors():

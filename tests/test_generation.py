@@ -7,7 +7,6 @@ from ualg import (
     all_subuniverses,
     clone_n,
     eval_term,
-    finiteness_report,
     generate,
 )
 from ualg.catalog import boolean_2, boolean_4, cyclic_group, lattice_2, semilattice_2
@@ -132,14 +131,3 @@ def test_clone_witnesses_evaluate_to_their_tables():
 def test_clone_budget_marks_incomplete():
     frag = clone_n(boolean_4(), 2, budget=10)
     assert not frag.complete
-
-
-def test_finiteness_report():
-    O = boolean_4()
-    rep = finiteness_report(O)
-    assert rep.minimum_generating_set in (("o2",), ("o3",))
-    assert rep.subuniverse_lattice is not None
-    assert ("o1", "o2", "o3", "o4") in rep.subuniverse_lattice
-    B = boolean_2()
-    # nullaries generate everything: the minimum generating set is empty
-    assert finiteness_report(B).minimum_generating_set == ()

@@ -8,9 +8,8 @@ from ualg import (
     direct_product,
     enumerate_homomorphisms,
     mediating_morphism,
-    verify_universal_property,
 )
-from ualg.catalog import boolean_2, boolean_4, lattice_2, one_element, semilattice_2
+from ualg.catalog import boolean_2, boolean_4, lattice_2, semilattice_2
 from ualg.core import UalgError
 from ualg.morphisms import Morphism, check_homomorphism
 
@@ -97,22 +96,6 @@ def test_mediating_rejects_non_hom_legs():
     good = enumerate_homomorphisms(B, prod.factors[1])[0]
     with pytest.raises(UalgError):
         mediating_morphism(B, [bad, good], prod)
-
-
-def test_universal_property_small_apices():
-    prod = _bxo()
-    apices = [boolean_2(), one_element(list(boolean_2().signature.symbols), name="One")]
-    reports = verify_universal_property(prod, apices)
-    for apex, report in zip(apices, reports):
-        assert report.all_pass
-        # the mediating map is the only one: exactly one product element
-        # has the legs' images of each apex element as its projections
-        for cone in report.cones:
-            for i in range(len(apex.carrier)):
-                legs_at = tuple(images[i] for images in cone.legs)
-                assert [p for p in prod.product.carrier
-                        if tuple(proj(p) for proj in prod.projections) == legs_at] == [
-                    prod.unrelabel(legs_at)]
 
 
 def test_associativity_up_to_isomorphism():

@@ -3,13 +3,16 @@ bindings in lexicographic order, the first violating one reported."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ualg import (App, Equation, TermError, Var, eval_term, parse_term, satisfies,
-                  validate_algebra)
+from ualg import (App, Equation, EquationSet, TermError, Var, eval_term, parse_term,
+                  satisfies, satisfies_all, validate_algebra)
 from ualg.catalog import boolean_2, one_element
+from ualg.cli import main
+from ualg.fileformat import parse_equation_file
 from ualg.terms import SatisfactionResult
 from conftest import random_algebra
 
@@ -190,3 +193,122 @@ def test_one_element_algebra():
     for law in laws:
         eq = parse_eq(law, ("x", "y", "z"))
         assert satisfies(A, eq) == oracle_satisfies(A, eq) == SatisfactionResult(True)
+
+
+def law_set(seed):
+    """A random algebra and law set for `satisfies_all`.  The carrier has
+    at most 5 elements or 17, so that binary nodes on one per-block and
+    one per-binding argument are joined or gathered per block; s is
+    commutative but for at most one cell and i is the identity, so some
+    laws hold and some fail late.  Each law uses one of the variable sets
+    below, all of x, y and z declared, and draws its subterms from a pool
+    per set, so laws repeat subterms."""
+    rng = random.Random(seed)
+    k = rng.choice([2, 3, 5, 17])
+    elems = [f"e{i}" for i in range(k)]
+
+    def table(arity):
+        return [rng.choice(elems) for _ in range(k**arity)]
+
+    sym = table(2)
+    for a in range(k):
+        for b in range(a):
+            sym[b * k + a] = sym[a * k + b]
+    if rng.random() < 0.5:  # one cell breaks the symmetry: a late counterexample
+        sym[rng.randrange(k * k)] = rng.choice(elems)
+    alg = validate_algebra("R", elems, [("c", 0, table(0)), ("u", 1, table(1)), ("i", 1, elems),
+                                        ("b", 2, table(2)), ("s", 2, sym)])
+    xyz = ("x", "y", "z")
+    laws = []
+    pools = {}
+    for _ in range(rng.randint(1, 6)):
+        used = rng.choice([(), (0,), (0, 1), (0, 2), (0, 1, 2)])
+        leaves = [Var(v) for v in used] + [App("c", ())]
+        pool = pools.setdefault(used, [])
+
+        def term(depth):
+            roll = rng.random()
+            if pool and roll < 0.3:
+                return rng.choice(pool)
+            if depth == 0 or roll < 0.45:
+                return rng.choice(leaves)
+            op = rng.choice(("u", "i", "b", "s"))
+            node = App(op, tuple(term(depth - 1) for _ in range(1 if op in "ui" else 2)))
+            pool.append(node)
+            return node
+
+        lhs, rhs = term(2), term(2)
+        for v in used:  # every variable of the set occurs
+            lhs = App("b", (lhs, Var(v)))
+        kind = rng.random()
+        if kind < 0.25:
+            lhs, rhs = App("s", (lhs, rhs)), App("s", (rhs, lhs))
+        elif kind < 0.4:
+            rhs = App("i", (lhs,))
+        elif kind < 0.5:
+            rhs = lhs
+        laws.append(Equation(lhs, rhs, xyz))
+    return alg, laws
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds.map(law_set))
+def test_satisfies_all_matches_oracle_law_by_law(case):
+    alg, laws = case
+    report = satisfies_all(alg, EquationSet("laws", tuple(laws)))
+    assert [eq for eq, _ in report.results] == laws
+    assert [res for _, res in report.results] == [oracle_satisfies(alg, eq) for eq in laws]
+
+
+ORDERED_ERRORS = """vars x y
+eq and(x, x) = x
+eq or(x, y) = or(y, x)
+eq and(x, nope(y)) = x
+eq or(x) = x
+"""
+
+
+def test_first_term_error_in_law_order(tmp_path, capsys, data_dir):
+    # the third law (unknown symbol) is in the group of x and y, the fourth
+    # (arity mismatch) in the group of x, which the first law opened
+    path = tmp_path / "errors.eq"
+    path.write_text(ORDERED_ERRORS)
+    with pytest.raises(TermError, match=r"\Aunknown symbol: nope\Z"):
+        satisfies_all(boolean_2(), parse_equation_file(ORDERED_ERRORS, name="errors"))
+    assert main(["satisfies", str(data_dir / "paper_BO.alg"), str(path), "--algebra", "B"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "unknown symbol: nope\n")
+
+
+def distinct_laws(count):
+    """`count` distinct laws add(u^a(x), u^b(y)) = add(u^b(y), u^a(x)) of
+    Z64 with u(v) = v + 1; each holds, so every range of each is run."""
+    pairs = [(a, b) for a in range(32) for b in range(32)][:count]
+
+    def u(power, v):
+        return Var(v) if power == 0 else App("u", (u(power - 1, v),))
+
+    return EquationSet("laws", tuple(
+        Equation(App("add", (u(a, 0), u(b, 1))), App("add", (u(b, 1), u(a, 0))), ("x", "y"))
+        for a, b in pairs))
+
+
+def satisfies_all_peak(alg, eqs):
+    tracemalloc.start()
+    try:
+        report = satisfies_all(alg, eqs)
+        return tracemalloc.get_traced_memory()[1], report
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_stays_bounded_with_many_laws():
+    k = 64
+    elems = [f"e{i}" for i in range(k)]
+    alg = validate_algebra("Z64", elems, [
+        ("add", 2, [elems[(i + j) % k] for i in range(k) for j in range(k)]),
+        ("u", 1, [elems[(i + 1) % k] for i in range(k)])])
+    few, few_report = satisfies_all_peak(alg, distinct_laws(10))
+    many, many_report = satisfies_all_peak(alg, distinct_laws(1000))
+    assert few_report.variety_member and many_report.variety_member
+    assert many < 6 * few, (few, many)
