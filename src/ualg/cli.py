@@ -324,13 +324,9 @@ def cmd_free_retract(args) -> int:
     return FALSE_VERDICT
 
 
-def _parse_gens(alg, gen_args):
-    return [parse_ep_sequence(alg, g) for g in gen_args or []]
-
-
 def cmd_rp(args) -> int:
     alg = _pick(_load_algebras(args.file), args.algebra, args.file)
-    gens = _parse_gens(alg, args.gen)
+    gens = [parse_ep_sequence(alg, g) for g in args.gen or []]
     if args.rp_command == "adjoin":
         ext = adjoin_generate(alg, gens, budget=args.budget)
         members = [{"label": label, "sequence": seq.render()} for label, seq in ext.labels]
@@ -346,16 +342,15 @@ def cmd_rp(args) -> int:
         r_map = r.as_dict()
         _emit(args, {"index": args.index, "map": r_map}, lambda: _render_maps([r_map]))
         return 0
-    if args.rp_command == "preserve":
-        eqs = _load_equations(args.equations, name=args.equations)
-        report = preservation_suite(alg, eqs, gens, budget=args.budget)
-        results = [{"equation": eq.render(), "holds": res.holds} for eq, res in report.results]
-        payload = {"base": alg.name, "equations": eqs.name,
-                   "all_pass": report.variety_member, "results": results}
-        _emit(args, payload, lambda: "\n".join(
-            f"{'pass' if r['holds'] else 'FAIL'}  {r['equation']}" for r in results))
-        return 0 if report.variety_member else FALSE_VERDICT
-    raise CliError(f"unknown rp subcommand: {args.rp_command}")
+    # "preserve": argparse admits only the three rp subcommands
+    eqs = _load_equations(args.equations, name=args.equations)
+    report = preservation_suite(alg, eqs, gens, budget=args.budget)
+    results = [{"equation": eq.render(), "holds": res.holds} for eq, res in report.results]
+    payload = {"base": alg.name, "equations": eqs.name,
+               "all_pass": report.variety_member, "results": results}
+    _emit(args, payload, lambda: "\n".join(
+        f"{'pass' if r['holds'] else 'FAIL'}  {r['equation']}" for r in results))
+    return 0 if report.variety_member else FALSE_VERDICT
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -225,24 +225,18 @@ class FiniteAlgebra:
         except KeyError:
             raise UnknownSymbol(f"unknown symbol: {symbol}") from None
 
-    def size(self) -> int:
-        return len(self.carrier)
-
-    def apply_index(self, symbol: str, args: Sequence[int]) -> int:
-        arity = self.signature.arity(symbol)
-        if len(args) != arity:
-            raise ValueError(f"{symbol} expects {arity} arguments, got {len(args)}")
-        idx = 0
-        for a in args:
-            idx = idx * len(self.carrier) + a
-        return self.table(symbol)[idx]
-
     def apply(self, symbol: str, *args: str) -> str:
         try:
             idx = [self.index_of[a] for a in args]
         except KeyError as exc:
             raise UnknownElement(f"unknown element: {exc.args[0]}") from None
-        return self.carrier[self.apply_index(symbol, idx)]
+        arity = self.signature.arity(symbol)
+        if len(args) != arity:
+            raise ValueError(f"{symbol} expects {arity} arguments, got {len(args)}")
+        cell = 0
+        for a in idx:
+            cell = cell * len(self.carrier) + a
+        return self.carrier[self.table(symbol)[cell]]
 
     def nullary_value(self, symbol: str) -> str:
         return self.carrier[self.table(symbol)[0]]
@@ -265,13 +259,21 @@ def validate_algebra(
         for sym, arity, values in operations])
 
 
+def power_exceeds(base: int, exponent: int, limit: int) -> bool:
+    """base**exponent > limit, for base >= 0 and exponent >= 0, without
+    building a power much past the limit: with base >= 2 the power at
+    exponent limit.bit_length() already exceeds a limit >= 0, and with
+    base 0 or 1 the power does not change past exponent 1."""
+    return base ** min(exponent, limit.bit_length() + 1) > limit
+
+
 def size_mismatch(k: int, arity: int, found: int) -> Optional[str]:
     """None when found is k**arity, the cell count of a table of that
     arity over k elements; else that count as an error message shows it:
     in digits up to 2**64, past it as k^arity, never built."""
-    expected = k ** min(arity, 65)  # exact, or past 2**64 when k >= 2
-    if expected > 1 << 64:
+    if power_exceeds(k, arity, 1 << 64):
         return f"{k}^{arity}"
+    expected = k ** arity
     return None if expected == found else str(expected)
 
 

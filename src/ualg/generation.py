@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import BudgetExceeded, FiniteAlgebra, Subuniverse, UalgError, UnknownElement
-from .core import close, is_subuniverse
+from .core import close, is_subuniverse, power_exceeds
 from .terms import App, Term, Var
 
 
@@ -114,9 +114,7 @@ def clone_n(alg: FiniteAlgebra, n: int, budget: int = 1_000_000) -> CloneFragmen
     if n < 1:
         raise UalgError("clone arity must be >= 1")
     k = len(alg.carrier)
-    # with k >= 2, k**bit_length alone exceeds the limit, so the capped
-    # exponent decides the same without a huge power; with k == 1 n does
-    if n * k ** min(n, MAX_PROJECTION_CELLS.bit_length()) > MAX_PROJECTION_CELLS:
+    if power_exceeds(k, n, MAX_PROJECTION_CELLS // n):  # n * k**n cells
         raise BudgetExceeded(f"clone arity {n} over {k} elements: the projections "
                              f"need more than {MAX_PROJECTION_CELLS} cells")
     # a repeated projection column (one element) keeps its last variable

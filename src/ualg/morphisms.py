@@ -41,12 +41,6 @@ class Morphism:
             if e not in self.target.index_of:
                 raise ValueError(f"image not in target carrier: {e}")
 
-    @classmethod
-    def from_dict(
-        cls, source: FiniteAlgebra, target: FiniteAlgebra, mapping: dict[str, str]
-    ) -> "Morphism":
-        return cls(source, target, tuple(mapping[e] for e in source.carrier))
-
     def __call__(self, element: str) -> str:
         return self.images[self.source.index_of[element]]
 

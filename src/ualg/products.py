@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .core import IDENT_RE, MAX_TABLE_CELLS, BudgetExceeded, FiniteAlgebra, Rows, Signature, UalgError
-from .core import gather, pack, weighted_sum
+from .core import gather, pack, power_exceeds, weighted_sum
 from .morphisms import (
     Morphism,
     check_homomorphism,
@@ -67,8 +67,7 @@ def direct_product(
 
     size = math.prod(len(f.carrier) for f in factors)
     for sym, arity in sig.symbols:
-        # as in clone_n, a capped exponent decides without a huge power
-        if size ** min(arity, MAX_TABLE_CELLS.bit_length()) > MAX_TABLE_CELLS:
+        if power_exceeds(size, arity, MAX_TABLE_CELLS):
             raise BudgetExceeded(f"product table of {sym}/{arity} over {size} elements "
                                  f"would hold more than {MAX_TABLE_CELLS} cells")
     tuples = list(itertools.product(*(f.carrier for f in factors)))

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import BudgetExceeded, FiniteAlgebra, UalgError
-from .core import close, induced_tables
+from .core import close, induced_tables, power_exceeds
 from .morphisms import Morphism, check_homomorphism
 
 
@@ -135,7 +135,6 @@ class GeneratedExtension:
 def adjoin_generate(
     alg: FiniteAlgebra,
     gens: Iterable[EpSequence],
-    prefix: str = "q",
     budget: int = 200_000,
 ) -> GeneratedExtension:
     """Closure of constants plus generators under pointwise application.
@@ -149,7 +148,7 @@ def adjoin_generate(
             raise UalgError("generator over a different base algebra")
         assert canonicalize(alg, g.preperiod, g.period) == g, "generator not canonical"
     pre_bound, per_bound = _window(gens)
-    if len(alg.carrier) ** (pre_bound + per_bound) > budget:
+    if power_exceeds(len(alg.carrier), pre_bound + per_bound, budget):
         raise BudgetExceeded("generated extension candidate bound exceeds budget")
 
     # a member is its window: its carrier indices at positions
@@ -169,7 +168,7 @@ def adjoin_generate(
     by_window = {w: member(w) for w in windows}
     windows.sort(key=lambda w: _sort_key(by_window[w]))
     ordered = [by_window[w] for w in windows]
-    fresh = tuple(f"{prefix}{i}" for i in range(len(ordered)))
+    fresh = tuple(f"q{i}" for i in range(len(ordered)))
     view = FiniteAlgebra(
         name=f"{alg.name}_ext",
         carrier=fresh,

@@ -202,8 +202,9 @@ _HOLDS = SatisfactionResult(True)
 # program, in which a subterm shared between or within laws is one node,
 # and the group is planned once and run once per range.  After each range
 # every live law compares its two sides; a law that fails records its
-# first counterexample and leaves the group, and nodes that no live law
-# reads are skipped from then on.
+# first counterexample and leaves the group.  Every node is still
+# computed to the group's last range, so a group with failing laws costs
+# at most what it costs when every law holds.
 #
 # A block is the k consecutive bindings in which only the last variable
 # of U changes.  A node that does not depend on that variable is *outer*
@@ -221,7 +222,7 @@ _MAX_RANGE = 4096
 _MAX_NODES = 128
 
 # step codes of a group's plan (see _plan)
-_LAST, _VAR, _CONST, _UNARY, _JOIN, _BLOCKS, _TABLE, _SKIP = range(8)
+_LAST, _VAR, _CONST, _UNARY, _JOIN, _BLOCKS, _TABLE = range(7)
 _UNKNOWN = (None, None)  # the (table, arity) of a symbol outside the signature
 
 
@@ -315,7 +316,7 @@ def _run(steps: list[tuple], k: int, first: int, blocks: int) -> list:
     else one gather per block.  Any other node spreads its outer
     arguments to full if it is full, and gathers its table at the
     stride-weighted sum of its arguments: with at most `PACK_LIMIT` cells
-    that is one translate for the whole range.  A skipped node is None."""
+    that is one translate for the whole range."""
     values: list = []
     for code, x, arg in steps:
         if code == _LAST:
@@ -330,27 +331,12 @@ def _run(steps: list[tuple], k: int, first: int, blocks: int) -> list:
             value = bytearray().join(map(x.__getitem__, values[arg]))
         elif code == _BLOCKS:
             value = gather_blocks(x, values[arg[0]], values[arg[1]], k)
-        elif code == _TABLE:
+        else:  # _TABLE
             row, weights, n = x
             cols = [values[a] if kept else spread(values[a], k) for a, kept in arg]
             value = pack(gather(row, weighted_sum(cols, weights, n, len(cols[0]))), k)
-        else:
-            value = None
         values.append(value)
     return values
-
-
-def _skip_unread(steps: list[tuple], program: list[tuple], laws: list[tuple]) -> list[tuple]:
-    """`steps` with every node that no side of `laws` reads made a skip."""
-    read = [False] * len(program)
-    for _, lhs, rhs in laws:
-        read[lhs] = read[rhs] = True
-    for i in range(len(program) - 1, -1, -1):  # children come before parents
-        table, arg = program[i]
-        if read[i] and table is not None:
-            for a in arg:
-                read[a] = True
-    return [step if r else (_SKIP, None, None) for step, r in zip(steps, read)]
 
 
 def _check_group(alg: FiniteAlgebra, equations: Sequence[Equation], used: Sequence[int],
@@ -382,8 +368,6 @@ def _check_group(alg: FiniteAlgebra, equations: Sequence[Equation], used: Sequen
             results[i] = SatisfactionResult(False, {
                 name: alg.carrier[value.get(j, 0)]
                 for j, name in enumerate(equations[i].variables)})
-        if live and len(live) < len(laws):
-            steps = _skip_unread(steps, program, live)
         laws = live
         start += blocks
         del values  # before the next range's vectors are built

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import resource
 import shlex
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import ualg
 from ualg import generation
 from ualg.catalog import cyclic_group, vector_space_gf
 from ualg.cli import main
@@ -25,6 +31,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_limited(*argv, seconds=10, memory=1 << 30):
+    """`python -m ualg.cli` in a child process whose address space is
+    capped at `memory` bytes (RLIMIT_AS, set in the child only) and which
+    is killed after `seconds`, so a size check that lets a huge
+    allocation or computation through fails the test instead of stalling
+    the suite: (exit code, stdout, stderr, wall seconds)."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ualg.__file__).resolve().parent.parent))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ualg.cli", *argv], capture_output=True,
+                          text=True, timeout=seconds, preexec_fn=limit, env=env)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
 
 def test_check(capsys):
@@ -354,6 +376,31 @@ def test_check_arity_past_any_table(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(path))
     assert_one_line_input_error(code, out, err, f"{path}: line 3, column 1: expected 8 values, "
                                 "found 1 for f/3")
+
+
+def test_check_arity_at_the_printed_size_limit(capsys, tmp_path):
+    # a cell count up to 2**64 is printed in digits, a larger one as k^arity
+    path = tmp_path / "wide.alg"
+    path.write_text("algebra A\nelements a b\nop f/64 = a\nend\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert_one_line_input_error(code, out, err, f"{path}: line 3, column 1: expected "
+                                "18446744073709551616 values, found 1 for f/64")
+    path.write_text("algebra A\nelements a b\nop f/65 = a\nend\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert_one_line_input_error(code, out, err, f"{path}: line 3, column 1: expected 2^65 "
+                                "values, found 1 for f/65")
+
+
+def test_rp_window_past_the_budget_without_the_power(tmp_path):
+    # periods 101, 103, 107 and 109 make windows of 121330189 positions,
+    # so the candidate count is 3**121330189, refused without building it
+    path = tmp_path / "z3.alg"
+    path.write_text(serialize_algebra(cyclic_group(3)))
+    gens = [arg for p in (101, 103, 107, 109) for arg in ("--gen", "per g1" + " g0" * (p - 1))]
+    code, out, err, seconds = run_limited("rp", "adjoin", str(path), *gens)
+    assert seconds < 1
+    assert_one_line_input_error(code, out, err,
+                                "generated extension candidate bound exceeds budget")
 
 
 def test_eval_unknown_element(capsys):

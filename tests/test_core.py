@@ -5,10 +5,12 @@ from ualg import (
     InvalidAlgebra,
     Signature,
     Subuniverse,
+    UnknownElement,
     is_subuniverse,
     validate_algebra,
 )
 from ualg.catalog import boolean_2, boolean_4, lattice_2
+from ualg.core import UnknownSymbol, power_exceeds
 
 
 def test_row_major_layout():
@@ -17,6 +19,26 @@ def test_row_major_layout():
     assert B.table("or")[2] == B.index_of["b2"]
     assert B.apply("or", "b2", "b1") == "b2"
     assert B.apply("and", "b2", "b1") == "b1"
+
+
+def test_apply_errors_in_order():
+    # an unknown element is reported before an unknown symbol, and that
+    # before a wrong argument count
+    B = boolean_2()
+    with pytest.raises(UnknownElement):
+        B.apply("nosuch", "b1", "zz", "b2")
+    with pytest.raises(UnknownSymbol):
+        B.apply("nosuch", "b1", "b2", "b2")
+    with pytest.raises(ValueError, match="and expects 2 arguments, got 3"):
+        B.apply("and", "b1", "b2", "b2")
+
+
+def test_power_exceeds_matches_the_exact_power():
+    for limit in (0, 1, 63, 64, 65, (1 << 20) - 1, 1 << 20, (1 << 64) - 1, 1 << 64):
+        for base in range(6):
+            for exponent in range(71):
+                assert power_exceeds(base, exponent, limit) == (base ** exponent > limit), \
+                    (base, exponent, limit)
 
 
 def test_nullary_table_has_one_entry():
