@@ -340,8 +340,8 @@ def build_algebra(name: str, elements: Sequence[str],
                          tables=tuple(table for _, _, table in operations))
 
 
-# Output cells that `close` composes in one kernel pass, about: enough
-# that the costs paid once per block vanish beside the cells.
+# Output digits (`Packing`) that `close` composes in one kernel pass,
+# about: enough that the costs paid once per block vanish beside them.
 BLOCK_CELLS = 1 << 14
 
 
@@ -381,25 +381,170 @@ def vector_keys(width: int, k: int):
 def run_blocks(count: int, new_from: int, arity: int, skip: bool, width: int, allowed):
     """The runs of one closure round for one symbol (`semi_naive_runs`)
     as (prefix, low, length) triples, in blocks of about BLOCK_CELLS
-    output cells at `width` cells a vector.  skip starts each run at its
-    first argument, for a commutative binary symbol.  length is the
-    run's attempt count: the run in which `allowed` attempts run out is
-    cut to them and ends the last block."""
-    block, cells = [], 0
+    output cells at `width` cells a vector, each yielded with its
+    attempt count.  skip starts each run at its first argument, for a
+    commutative binary symbol.  length is the run's attempt count: the
+    run in which `allowed` attempts run out is cut to them and ends the
+    last block."""
+    block, attempts = [], 0
     for prefix, low in semi_naive_runs(count, new_from, arity):
         if skip:
             low = max(low, prefix[0])
         length = min(count - low, allowed)
         allowed -= length
         block.append((prefix, low, length))
-        cells += length * width
+        attempts += length
         if length < count - low:
             break
-        if cells >= BLOCK_CELLS:
-            yield block
-            block, cells = [], 0
+        if attempts * width >= BLOCK_CELLS:
+            yield block, attempts
+            block, attempts = [], 0
     if block:
-        yield block
+        yield block, attempts
+
+
+class Packing:
+    """How `close` and `induced_tables` hold vectors of `width` carrier
+    indices of `alg`, over k elements: g indices to a digit of base
+    k**g, the first most significant, so a vector is `length` =
+    ceil(width / g) digits held as `pack` makes them with k**g.  A
+    vector that does not fill its last digit is filled up with copies
+    of its first index; operations applied pointwise keep that filling,
+    so equal vectors, and only they, have equal digits.  g is the
+    largest g <= width, and at most 8, with k**(g*a) <= PACK_LIMIT for
+    every arity a >= 1 of the signature, so that each such table read
+    on digits fits a byte; it is 1 when there is none (binary tables
+    past 16 elements, carriers past PACK_LIMIT), and the digits are
+    then the indices themselves.
+
+    rows[i] reads symbol i on digits: the translation table of its
+    outputs at the row-major index of its argument digits when its
+    digit table has at most PACK_LIMIT cells, else its `Rows`.
+    commutative[i] says that symbol i is binary and commutative, and
+    keys is the `vector_keys` function of the digits."""
+
+    def __init__(self, alg: FiniteAlgebra, width: int):
+        k = self.k = len(alg.carrier)
+        top = max([1] + [arity for _, arity in alg.signature.symbols])
+        g = 1
+        while g < min(width, 8) and k ** ((g + 1) * top) <= PACK_LIMIT:
+            g += 1
+        self.g, self.width, self.base, self.length = g, width, k ** g, -(-width // g)
+        self.keys = vector_keys(self.length, self.base)
+        # each table read once as bytes, when its indices fit them
+        tables = [bytes(t) if k <= PACK_LIMIT else t for t in alg.tables]
+        self.commutative = [arity == 2 and all(t[a * k:(a + 1) * k] == t[a::k] for a in range(k))
+                            for (_, arity), t in zip(alg.signature.symbols, tables)]
+        firsts: dict[int, bytes] = {}
+        self.rows = [None if arity == 0 else self._digit_row(t, arity, firsts)
+                     if k ** arity <= PACK_LIMIT else Rows(t, k, k)
+                     for (_, arity), t in zip(alg.signature.symbols, tables)]
+
+    def _places(self, count: int, which: Iterable[int]) -> list[bytes]:
+        """For each place i in `which`, place i, the first most
+        significant, of every number below k**count written with `count`
+        base-k places: that of the first place at the number times k**i."""
+        k = self.k
+        first = b"".join([bytes((v,)) * k ** (count - 1) for v in range(k)])
+        return [(first * k ** i)[::k ** i] for i in which]
+
+    def _digit_row(self, table: bytes, arity: int, firsts: dict):
+        """The translation table of one table on digits.  Entry e of the
+        digit table holds arity * g cells, argument by argument, each
+        base k, the first most significant; firsts[arity] holds the
+        table index of the arguments' first cells, for every entry.  The
+        index of their cells at place i is that of entry e * k**i (mod
+        the entry count), whose places are those of e moved i up; so one
+        translate gives the first output cell of every entry and shifted
+        copies of it the others."""
+        k, g = self.k, self.g
+        if g == 1:
+            return as_row(table, k ** arity)
+        entries = self.base ** arity
+        if arity not in firsts:
+            firsts[arity] = weighted_sum(
+                self._places(arity * g, range(0, arity * g, g)),
+                [k ** (arity - 1 - j) for j in range(arity)], k ** arity, entries)
+        first = firsts[arity].translate(as_row(table, k ** arity))
+        return as_row(weighted_sum([(first * k ** i)[::k ** i] for i in range(g)],
+                                   [k ** (g - 1 - i) for i in range(g)], self.base, entries),
+                      entries)
+
+    def to_digits(self, vectors: Sequence[tuple[int, ...]]):
+        """The digits of vectors of `width` indices, back to back in a
+        vector that `pack` made with k**g."""
+        g, width, n = self.g, self.width, len(vectors)
+        flat = pack(itertools.chain.from_iterable(vectors), self.k)
+        if g == 1:
+            return flat
+        span = self.length * g
+        if span != width:  # fill up the last digit with the first index
+            cells = bytearray(n * span)
+            for c in range(span):
+                cells[c::span] = flat[c if c < width else 0::width]
+            flat = cells
+        return bytearray(weighted_sum([flat[i::g] for i in range(g)],
+                                      [self.k ** (g - 1 - i) for i in range(g)], self.base,
+                                      n * self.length))
+
+    def from_digits(self, digits, n: int) -> list[tuple[int, ...]]:
+        """The n vectors whose digits are held back to back in `digits`,
+        as tuples of indices: one translate per cell of a digit."""
+        g, width = self.g, self.width
+        span = self.length * g
+        if g > 1:
+            cells = bytearray(len(digits) * g)
+            for i, place in enumerate(self._places(g, range(g))):
+                cells[i::g] = digits.translate(as_row(place, self.base))
+            digits = cells
+        return [tuple(digits[m * span:m * span + width]) for m in range(n)]
+
+    def constant(self, value: int):
+        """The digits of the vector whose every index is value."""
+        return pack([value * sum(self.k ** i for i in range(self.g))] * self.length, self.base)
+
+    def compose(self, i: int, arity: int, block: list, flat):
+        """The outputs, as digits, of symbol i applied to every argument
+        tuple of a block of runs (`run_blocks`) over the members whose
+        digits `flat` holds back to back.  With a translation table, one
+        `weighted_sum` of the argument digits (each prefix member
+        repeated along its run, the runs' last arguments cut from
+        `flat`) and one translate; else, on one-digit vectors, one
+        translate per run through the row of its prefix, joined, and on
+        wider ones one `apply_run` per run."""
+        rows, width, base = self.rows[i], self.length, self.base
+        lasts = [flat[low * width:(low + length) * width] for _, low, length in block]
+        if type(rows) is bytes:
+            index = b"".join(lasts)
+            if arity > 1:
+                index = weighted_sum(
+                    [b"".join([flat[p[j] * width:(p[j] + 1) * width] * length
+                               for p, _, length in block]) for j in range(arity - 1)]
+                    + [index], [base ** (arity - 1 - j) for j in range(arity)],
+                    base ** arity, len(index))
+            return index.translate(rows)
+        if width == 1 and type(flat) is bytearray:
+            out = []
+            for (prefix, _, _), column in zip(block, lasts):
+                r = 0
+                for c in prefix:
+                    r = r * base + flat[c]
+                out.append(column.translate(rows[r]))
+            return bytearray().join(out)
+        out = pack((), base)
+        for (prefix, _, _), column in zip(block, lasts):
+            out += apply_run(rows, base, [flat[c * width:(c + 1) * width] for c in prefix],
+                             column, width)
+        return out
+
+
+# The most cells, members times width, that `close` holds: it raises
+# BudgetExceeded rather than add a member past them.
+MAX_MEMBER_CELLS = 1 << 23
+
+
+def _too_many_members() -> BudgetExceeded:
+    return BudgetExceeded(f"closure members would hold more than {MAX_MEMBER_CELLS} cells")
 
 
 def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optional[int] = None
@@ -412,74 +557,64 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
     argument tuples that hold a member new in the round before, and
     skips f(b, a) after f(a, b) for a commutative binary f, which
     changes no member and no order.  Members are kept back to back in
-    one vector that `pack` made, and `seen` holds their `vector_keys`.
-    A symbol's runs of last arguments are composed a block at a time
-    (`run_blocks`): one `weighted_sum` and one translate when k**arity
-    <= PACK_LIMIT, else one `apply_run` per run; then one key split and
-    one set test, and a loop over single outputs only in a block with a
-    new key.  Returns (members, derivations, rounds, complete):
-    derivations[i] is (symbol, argument member indices) for the
-    application that found member i, or None for a start; rounds holds
-    the member count after the starts and after each round that added
-    members.  budget caps the composition attempts (a nullary symbol
-    makes none); on overrun the closure stops at the exact attempt the
-    budget allows and complete is False."""
-    k = len(alg.carrier)
+    one vector of digits (`Packing`), and `seen` holds their
+    `vector_keys`.  A symbol's runs of last arguments are composed a
+    block at a time (`run_blocks`, `Packing.compose`); then one key
+    split and one set test, and only in a block with a new key a walk
+    over its distinct keys.  Returns (members, derivations, rounds,
+    complete): derivations[i] is (symbol, argument member indices) for
+    the application that found member i, or None for a start; rounds
+    holds the member count after the starts and after each round that
+    added members.  budget caps the composition attempts (a nullary
+    symbol makes none); on overrun the closure stops at the exact
+    attempt the budget allows and complete is False.  Members of more
+    than MAX_MEMBER_CELLS indices in all raise BudgetExceeded."""
     width = len(starts[0]) if starts else 0
-    keys_of = vector_keys(width, k)
-    flat = pack(itertools.chain.from_iterable(starts), k)
+    most = MAX_MEMBER_CELLS // width if width else float("inf")
+    if len(starts) > most:
+        raise _too_many_members()
+    packing = Packing(alg, width)
+    ndigits, keys_of = packing.length, packing.keys
+    flat = packing.to_digits(starts)
     seen = set(keys_of(flat, len(starts)))
+    constants = [packing.constant(table[0]) if arity == 0 else None
+                 for (_, arity), table in zip(alg.signature.symbols, alg.tables)]
     derivations: list = [None] * len(starts)
     rounds = [len(starts)]
-    commutative = [arity == 2 and all(t[a * k:(a + 1) * k] == t[a::k] for a in range(k))
-                   for (_, arity), t in zip(alg.signature.symbols, alg.tables)]
-    # a table whose row-major argument indices all fit a byte is read
-    # through one translation table at their weighted sum; others by rows
-    op_rows = [as_row(t, k ** arity) if arity and k ** arity <= PACK_LIMIT else Rows(t, k, k)
-               for (_, arity), t in zip(alg.signature.symbols, alg.tables)]
     limit = float("inf") if budget is None else budget
     attempts, new_from, complete = 0, 0, True
     while complete and new_from < len(derivations):
         count = len(derivations)
-        for (sym, arity), table, rows, skip in zip(alg.signature.symbols, alg.tables, op_rows,
-                                                   commutative):
+        for i, ((sym, arity), const) in enumerate(zip(alg.signature.symbols, constants)):
             if arity == 0:
-                const = pack((table[0],) * width, k)
                 key, = keys_of(const, 1)
                 if key not in seen:
+                    if len(derivations) >= most:
+                        raise _too_many_members()
                     seen.add(key)
                     flat += const
                     derivations.append((sym, ()))
                 continue
-            for block in run_blocks(count, new_from, arity, skip, width, limit - attempts):
-                lasts = [flat[low * width:(low + length) * width] for _, low, length in block]
-                slots = sum(length for _, _, length in block)
-                if type(rows) is bytes:
-                    index = b"".join(lasts)
-                    if arity > 1:
-                        index = weighted_sum(
-                            [b"".join([flat[p[j] * width:(p[j] + 1) * width] * length
-                                       for p, _, length in block]) for j in range(arity - 1)]
-                            + [index], [k ** (arity - 1 - j) for j in range(arity)],
-                            k ** arity, len(index))
-                    out = index.translate(rows)
-                else:
-                    out = pack((), k)
-                    for (prefix, _, _), column in zip(block, lasts):
-                        out += apply_run(rows, k, [flat[c * width:(c + 1) * width]
-                                                   for c in prefix], column, width)
+            for block, slots in run_blocks(count, new_from, arity, packing.commutative[i],
+                                           ndigits, limit - attempts):
+                out = packing.compose(i, arity, block, flat)
                 keys = keys_of(out, slots)
                 if not seen.issuperset(keys):
                     runs, first = iter(block), 0  # the run of output j starts at output first
                     prefix, low, length = next(runs)
-                    for j in [j for j, key in enumerate(keys) if key not in seen]:
+                    j = 0
+                    for key in dict.fromkeys(keys):  # each key at its first output, in order
+                        if key in seen:
+                            continue
+                        j = keys.index(key, j)
                         while j >= first + length:
                             first += length
                             prefix, low, length = next(runs)
-                        if keys[j] not in seen:  # else found earlier in the block
-                            seen.add(keys[j])
-                            derivations.append((sym, prefix + (low + j - first,)))
-                            flat += out[j * width:(j + 1) * width]
+                        if len(derivations) >= most:
+                            raise _too_many_members()
+                        seen.add(key)
+                        derivations.append((sym, prefix + (low + j - first,)))
+                        flat += out[j * ndigits:(j + 1) * ndigits]
                 attempts += slots
                 prefix, low, length = block[-1]
                 if length < count - low:
@@ -489,30 +624,29 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
         new_from = count
         if len(derivations) > count:
             rounds.append(len(derivations))
-    members = [tuple(flat[i * width:(i + 1) * width]) for i in range(len(derivations))]
-    return members, derivations, rounds, complete
+    return packing.from_digits(flat, len(derivations)), derivations, rounds, complete
 
 
 def induced_tables(alg: FiniteAlgebra, members: Sequence[tuple[int, ...]]
                    ) -> tuple[tuple[int, ...], ...]:
     """The operation tables, over positions in `members`, of a non-empty
     list of equal-width vectors of carrier indices that is closed under
-    the basic operations applied pointwise; one `apply_run` call per
-    row-major run of last arguments."""
-    k = len(alg.carrier)
-    width = len(members[0])
-    position = {m: i for i, m in enumerate(members)}
-    flat = pack(itertools.chain.from_iterable(members), k)
+    the basic operations applied pointwise: the block pass of `close`
+    over every row-major run, and one key lookup per output."""
+    width, count = len(members[0]), len(members)
+    packing = Packing(alg, width)
+    keys_of = packing.keys
+    flat = packing.to_digits(members)
+    position = dict(zip(keys_of(flat, count), range(count)))
     tables = []
-    for (_, arity), table in zip(alg.signature.symbols, alg.tables):
+    for i, ((_, arity), table) in enumerate(zip(alg.signature.symbols, alg.tables)):
         if arity == 0:
-            tables.append((position[(table[0],) * width],))
+            tables.append((position[keys_of(packing.constant(table[0]), 1)[0]],))
             continue
-        rows = Rows(table, k, k)
         cells: list[int] = []
-        for prefix, _ in semi_naive_runs(len(members), 0, arity):
-            outs = apply_run(rows, k, [members[c] for c in prefix], flat[:], width)
-            cells.extend(map(position.__getitem__, zip(*[iter(outs)] * width)))
+        for block, slots in run_blocks(count, 0, arity, False, packing.length, float("inf")):
+            cells += map(position.__getitem__, keys_of(packing.compose(i, arity, block, flat),
+                                                       slots))
         tables.append(tuple(cells))
     return tuple(tables)
 

@@ -157,13 +157,17 @@ def vector_space_equations(q: int) -> tuple[Equation, ...]:
     def s(r: int, arg: Term) -> Term:
         return App(f"s{r}", (arg,))
 
+    # each repeated subterm is one object, which a check compiles once
     x, y = Var(0), Var(1)
+    x_plus_y = App("add", (x, y))
+    sx = [s(r, x) for r in range(q)]
+    sy = [s(r, y) for r in range(q)]
     rows: list[Equation] = list(_ABELIAN_GROUP)
     for r in range(q):
         rows.append(
             Equation(
-                s(r, App("add", (x, y))),
-                App("add", (s(r, x), s(r, y))),
+                s(r, x_plus_y),
+                App("add", (sx[r], sy[r])),
                 xy,
                 label="scalar over sum",
             )
@@ -171,15 +175,15 @@ def vector_space_equations(q: int) -> tuple[Equation, ...]:
     for r in range(q):
         for t in range(q):
             rows.append(
-                Equation(s(r, s(t, x)), s(mul[r][t], x), xy, label="scalar composition")
+                Equation(s(r, sx[t]), sx[mul[r][t]], xy, label="scalar composition")
             )
-    rows.append(Equation(s(1, x), x, xy, label="multiplicative identity"))
+    rows.append(Equation(sx[1], x, xy, label="multiplicative identity"))
     for r in range(q):
         for t in range(q):
             rows.append(
                 Equation(
-                    App("add", (s(r, x), s(t, x))),
-                    s(add[r][t], x),
+                    App("add", (sx[r], sx[t])),
+                    sx[add[r][t]],
                     xy,
                     label="scalar sum",
                 )

@@ -227,28 +227,43 @@ _UNKNOWN = (None, None)  # the (table, arity) of a symbol outside the signature
 
 
 def _compile(ops: dict[str, tuple], term: Term, n: int, slots: dict,
-             program: list[tuple]) -> int:
+             program: list[tuple], compiled: dict[int, int]) -> int:
     """Append the nodes of `term` not yet in `program` to it, children
     first, and return the slot of its value.  A node is (None, variable
     index) or (table, argument slots); `slots` maps the variable index or
     (symbol, argument slots) of each node to its slot, so a repeated
-    subterm has one.  `ops` maps each symbol to its (table, arity).
-    Raises the TermError that eval_term would raise first on this term
-    (pre-order, left to right)."""
+    subterm has one.  `compiled` maps the identity of each application
+    already compiled to its slot, so a term object met again is not
+    walked again; the caller keeps every such term alive.  `ops` maps
+    each symbol to its (table, arity).  Raises the TermError that
+    eval_term would raise first on this term (pre-order, left to
+    right); a term met again raised none the first time."""
     if type(term) is Var:
-        if not 0 <= term.index < n:
-            raise TermError(f"unbound variable index {term.index}")
-        key, step = term.index, (None, term.index)
-    else:
-        table, arity = ops.get(term.symbol, _UNKNOWN)
-        if arity != len(term.args):
-            raise _app_error(term, arity)
-        args = tuple([_compile(ops, a, n, slots, program) for a in term.args])
-        key, step = (term.symbol, args), (table, args)
+        index = term.index
+        if not 0 <= index < n:
+            raise TermError(f"unbound variable index {index}")
+        slot = slots.get(index)
+        if slot is None:
+            slots[index] = slot = len(program)
+            program.append((None, index))
+        return slot
+    ident = id(term)
+    slot = compiled.get(ident)
+    if slot is not None:
+        return slot
+    table, arity = ops.get(term.symbol, _UNKNOWN)
+    if arity != len(term.args):
+        raise _app_error(term, arity)
+    arg_slots = []  # a loop: before Python 3.12 a comprehension is a function call
+    for a in term.args:
+        arg_slots.append(_compile(ops, a, n, slots, program, compiled))
+    args = tuple(arg_slots)
+    key = term.symbol, args
     slot = slots.get(key)
     if slot is None:
         slots[key] = slot = len(program)
-        program.append(step)
+        program.append((table, args))
+    compiled[ident] = slot
     return slot
 
 
@@ -386,18 +401,18 @@ def _check_laws(alg: FiniteAlgebra, equations: Sequence[Equation]) -> list[Satis
            for (symbol, arity), table in zip(alg.signature.symbols, alg.tables)}
     rows: dict = {}
     results: list = [None] * len(equations)
-    groups: dict[tuple[int, ...], tuple[dict, list, list]] = {}
+    groups: dict[tuple[int, ...], tuple[dict, list, list, dict]] = {}
     for i, eq in enumerate(equations):
         if eq.used not in groups:
-            groups[eq.used] = ({}, [], [])
-        slots, program, laws = groups[eq.used]
+            groups[eq.used] = ({}, [], [], {})
+        slots, program, laws, compiled = groups[eq.used]
         n = len(eq.variables)
-        laws.append((i, _compile(ops, eq.lhs, n, slots, program),
-                     _compile(ops, eq.rhs, n, slots, program)))
+        laws.append((i, _compile(ops, eq.lhs, n, slots, program, compiled),
+                     _compile(ops, eq.rhs, n, slots, program, compiled)))
         if len(program) >= _MAX_NODES:
             _check_group(alg, equations, eq.used, program, laws, rows, results)
             del groups[eq.used]
-    for used, (_, program, laws) in groups.items():
+    for used, (_, program, laws, _) in groups.items():
         _check_group(alg, equations, used, program, laws, rows, results)
     return results
 

@@ -157,10 +157,14 @@ PRESERVE_B = "71c0c0b917dcc37088e2da92bd84a959ba7bafa58a062737b8051c60604c7063"
 def test_closure_commands_print_pinned_bytes(capsys, tmp_path):
     # sha256 of the --json stdout of every command that runs `core.close`,
     # as the run-by-run closure printed it: gen at widths 1 on 4, 256 and
-    # 300 elements, clone tables of widths 4, 8 and 16, rp windows above
-    z300, v2_8 = tmp_path / "z300.alg", tmp_path / "v2_8.alg"
+    # 300 elements, clone tables of widths 4, 8 and 16, rp windows above;
+    # and, as one index per byte printed them, clone tables of Z3 (two
+    # indices to a digit, width 9 fills one cell) and of V2_2 (four
+    # elements, two to a digit), and an rp window over Z3
+    z300, v2_8, z3 = tmp_path / "z300.alg", tmp_path / "v2_8.alg", tmp_path / "z3.alg"
     z300.write_text(serialize_algebra(cyclic_group(300)))
     v2_8.write_text(serialize_algebra(vector_space_gf(2, 8)))
+    z3.write_text(serialize_algebra(cyclic_group(3)))
     cases = [
         (("gen", BO, "--algebra", "O", "--elements", "o2"),
          "2d949eedbf3238487d0b96e4e1d5cd9472ec02dee788299ec2c78483c0da7e8f"),
@@ -178,6 +182,12 @@ def test_closure_commands_print_pinned_bytes(capsys, tmp_path):
          "91497722f9aa23a37097efe74e2f4e0718a139cbe24f54f2d5e6189ed602e6a9"),
         (("clone", SMALL, "--algebra", "L2", "--arity", "4"),
          "312459420380eb497fd9cb4d68af1c23feb7617c80ccf4e0bfab658806df69af"),
+        (("clone", str(z3), "--arity", "2"),
+         "5222e38e1f567fa3c1d3ffcdaaf2a06de9211957cf5487f46204a85764f35749"),
+        (("clone", SMALL, "--algebra", "V2_2", "--arity", "3"),
+         "83c08cd16052a987de95c74ac461951c82e837e4bddc1c3ce9da47f991197b9c"),
+        (("rp", "adjoin", str(z3), "--gen", "per g0 g1"),
+         "684578b6419fef98ca772d4724bf9a9112eaec87e95fc2e00755702ef1025035"),
     ]
     for gens, adjoined in RP_WINDOWS:
         args = [arg for g in gens for arg in ("--gen", g)]
@@ -346,6 +356,15 @@ def test_clone_arity_past_the_projection_limit(capsys):
                          "--arity", "30")
     assert_one_line_input_error(code, out, err, "clone arity 30 over 2 elements: the "
                                 "projections need more than 1048576 cells")
+
+
+def test_clone_past_the_member_limit():
+    # 16 projections of 2**16 cells pass the projection limit, and the
+    # closure stops before its members pass core.MAX_MEMBER_CELLS = 2**23
+    code, out, err, seconds = run_limited("clone", BO, "--algebra", "B", "--arity", "16")
+    assert seconds < 5
+    assert_one_line_input_error(code, out, err,
+                                "closure members would hold more than 8388608 cells")
 
 
 def test_product_past_the_table_limit(capsys, tmp_path):

@@ -1,12 +1,13 @@
 """Table kernel and semi-naive closures against slow oracles: the naive
 clone loop, the per-tuple semi-naive loops of `clone_n`, `generate` and
-`adjoin_generate`, the run-by-run `close`, string-level product and
-subalgebra tables, the `pointwise_apply` closure of extensions, the string-level
-homomorphism check, position-by-position sums for `weighted_sum`, and
-argument columns (`apply_columns`) for `satisfies` and the subuniverse
-check.  Besides random small algebras, explicit examples
-have carriers on both sides of 256 elements, the largest carrier whose
-index vectors are packed as bytes."""
+`adjoin_generate`, the run-by-run `close`, the per-tuple induced tables,
+string-level product and subalgebra tables, the `pointwise_apply`
+closure of extensions, the string-level homomorphism check,
+position-by-position sums for `weighted_sum`, and argument columns
+(`apply_columns`) for `satisfies` and the subuniverse check.  Besides
+random small algebras, explicit examples have carriers on both sides of
+256 elements, the largest carrier whose index vectors are packed as
+bytes, and closures of every packing of indices into digits."""
 
 import dataclasses
 import itertools
@@ -21,7 +22,7 @@ from ualg import (Equation, Morphism, UnknownElement, check_homomorphism, clone_
                   direct_product, is_subuniverse, satisfies, validate_algebra)
 from ualg.catalog import boolean_2, cyclic_group
 from ualg.core import (PACK_LIMIT, ClosureWitness, FiniteAlgebra, Rows, Subuniverse, apply_run,
-                       close, pack, semi_naive_runs, weighted_sum)
+                       close, induced_tables, pack, semi_naive_runs, weighted_sum)
 from ualg.generation import CloneFragment, CloneMember, GenerationResult, GenerationTrace, generate
 from ualg.morphisms import HomWitness
 from ualg.reduced_power import _sort_key, adjoin_generate, canonicalize, std_embed
@@ -535,9 +536,74 @@ def random_closure_case(seed):
 @example(closure_case(116, 2, 12, 5, [3], None))        # 32 members, ternary, one translate
 @example((closure_case(6, 3, 5, 1, [0, 2], None)[0], [], None))  # no starts
 @example((boolean_2(), [tuple(c) for c in arg_columns(2, 4)], 1_000_000))  # clone_n(B, 4) cut
+# digits of g indices (`Packing`), each cut inside a block: g = 4 at width 4,
+# and at width 5 with 3 filled cells; g = 8 on a unary-only signature at
+# width 9, 7 filled; g = 2 for a ternary k = 2 at width 7, and for binary
+# k = 3 and k = 4 at width 3, 1 filled each; g = 3 on one element
+@example(closure_case(10, 2, 4, 4, [2], 57))             # 16 members, cut at the 15th
+@example(closure_case(10, 2, 5, 5, [2], 51))
+@example(closure_case(37, 2, 9, 9, [1, 1], 8))
+@example(closure_case(105, 2, 7, 4, [3], 174))
+@example(closure_case(101, 3, 3, 3, [2], 96))
+@example(closure_case(25, 4, 3, 3, [2], 379))
+@example(closure_case(0, 1, 3, 1, [0, 1, 2], 1))
 def test_close_matches_run_by_run_close(case):
     alg, starts, budget = case
     assert close(alg, starts, budget) == oracle_close(alg, starts, budget)
+
+
+def tuple_induced_tables(alg, members):
+    """Each cell of the induced tables by one table lookup per index of
+    each argument tuple of members, in row-major order."""
+    k, width = len(alg.carrier), len(members[0])
+    position = {m: i for i, m in enumerate(members)}
+    tables = []
+    for (_, arity), table in zip(alg.signature.symbols, alg.tables):
+        cells = []
+        for args in itertools.product(members, repeat=arity):
+            out = []
+            for c in range(width):
+                r = 0
+                for a in args:
+                    r = r * k + a[c]
+                out.append(table[r])
+            cells.append(position[tuple(out)])
+        tables.append(tuple(cells))
+    return tuple(tables)
+
+
+def closed_case(seed, k, width, columns, arities):
+    """The algebra of a closure_case and the complete closure of its
+    starts, or of the zero vector when it has none."""
+    alg, starts, _ = closure_case(seed, k, width, columns, arities, None)
+    return alg, close(alg, starts or [(0,) * width])[0]
+
+
+def random_induced_case(seed):
+    # the kinds of random_closure_case, with at most about 4096 argument
+    # tuples per symbol for the tuple loop
+    rng = random.Random(seed)
+    k = rng.choice([1, 2, 3, 4, 5, 6, 7, 17, 257])
+    arities = rng.sample([0, 1, 2, 2, 3] if k < 257 else [0, 1, 1, 2], rng.randint(1, 3))
+    columns = 1
+    while k > 1 and k ** ((columns + 1) * max(arities + [1])) <= 4096:
+        columns += 1
+    return closed_case(seed, k, rng.randint(1, 12), rng.randint(1, columns), arities)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds.map(random_induced_case))
+@example(closed_case(10, 2, 4, 4, [2]))                 # the packings of the close examples
+@example(closed_case(10, 2, 5, 5, [2]))
+@example(closed_case(37, 2, 9, 9, [1, 1]))
+@example(closed_case(105, 2, 7, 4, [3]))
+@example(closed_case(101, 3, 3, 3, [2]))
+@example(closed_case(25, 4, 3, 3, [2]))
+@example(closed_case(0, 1, 3, 1, [0, 1, 2]))
+@example((WIDE[2], [(i,) for i in range(257)]))          # 257 elements, lists
+def test_induced_tables_match_tuple_loop(case):
+    alg, members = case
+    assert induced_tables(alg, members) == tuple_induced_tables(alg, members)
 
 
 def random_morphism(seed):

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from ualg import (App, Equation, EquationSet, TermError, Var, eval_term, parse_term,
                   satisfies, satisfies_all, validate_algebra)
-from ualg.catalog import boolean_2, one_element
+from ualg import terms
+from ualg.catalog import boolean_2, one_element, vector_space_gf
 from ualg.cli import main
 from ualg.fileformat import parse_equation_file
+from ualg.presets import preset
 from ualg.terms import SatisfactionResult
 from conftest import random_algebra
 
@@ -312,3 +314,57 @@ def test_memory_stays_bounded_with_many_laws():
     many, many_report = satisfies_all_peak(alg, distinct_laws(1000))
     assert few_report.variety_member and many_report.variety_member
     assert many < 6 * few, (few, many)
+
+
+def counted_compiles(monkeypatch):
+    """The terms that `terms._compile` is called on, in order, from now on."""
+    calls = []
+    compile_term = terms._compile
+
+    def counting(ops, term, *rest):
+        calls.append(term)
+        return compile_term(ops, term, *rest)
+
+    monkeypatch.setattr(terms, "_compile", counting)
+    return calls
+
+
+def test_compile_walks_each_term_object_once(monkeypatch):
+    # not^30(x) is one object in 20 laws over x and in one law over x and y:
+    # each group walks it once (31 calls), then finds it by identity
+    chain = Var(0)
+    for _ in range(30):
+        chain = App("not", (chain,))
+    laws = [Equation(chain, chain, ("x",))] * 20 + [
+        Equation(App("and", (chain, Var(1))), App("and", (Var(1), chain)), ("x", "y"))]
+    calls = counted_compiles(monkeypatch)
+    report = satisfies_all(boolean_2(), EquationSet("laws", tuple(laws)))
+    assert len(calls) == (31 + 39) + (1 + 31 + 1) + (1 + 1 + 1)
+    assert report.variety_member
+
+
+def test_vector_space_laws_share_their_subterms(monkeypatch):
+    # vector-space(5) builds each s_r(x), s_r(y) and add(x, y) once: a check
+    # makes 244 compile calls, not the 373 of one walk per occurrence, and
+    # gives what the same laws built without sharing give, counterexamples
+    # included, on GF(5)^2 and on a copy with one scalar cell changed
+    eqs = preset("vector-space(5)")
+    unshared = EquationSet(eqs.name, tuple(
+        Equation(*(parse_term(side, eq.variables) for side in eq.render().split(" = ")),
+                 eq.variables, eq.label) for eq in eqs.equations))
+    assert unshared == eqs
+    good = vector_space_gf(5, 2)
+    cells = [list(good.carrier[v] for v in t) for t in good.tables]
+    s2 = good.signature.names().index("s2")
+    cells[s2][7] = good.carrier[3]
+    bad = validate_algebra("bad", good.carrier, [
+        (sym, arity, values) for (sym, arity), values in zip(good.signature.symbols, cells)])
+    calls = counted_compiles(monkeypatch)
+    for alg in (good, bad):
+        calls.clear()
+        report = satisfies_all(alg, eqs)
+        assert len(calls) == 244
+        assert report == satisfies_all(alg, unshared)
+        assert [r for _, r in report.results] == [oracle_satisfies(alg, eq)
+                                                  for eq in eqs.equations]
+    assert not report.variety_member
