@@ -4,8 +4,9 @@ vector-space tables."""
 
 from __future__ import annotations
 
-from .core import FiniteAlgebra, validate_algebra
+from .core import FiniteAlgebra, build_algebra, validate_algebra
 from .presets import finite_field
+from .products import direct_product
 
 
 def boolean_2() -> FiniteAlgebra:
@@ -24,37 +25,9 @@ def boolean_2() -> FiniteAlgebra:
 
 
 def boolean_4() -> FiniteAlgebra:
-    """Four-element boolean algebra O on {o1..o4}: o1 = bottom, o4 = top,
-    o2 and o3 complementary atoms."""
-    return validate_algebra(
-        "O",
-        ["o1", "o2", "o3", "o4"],
-        [
-            ("zero", 0, ["o1"]),
-            ("one", 0, ["o4"]),
-            ("not", 1, ["o4", "o3", "o2", "o1"]),
-            (
-                "and",
-                2,
-                [
-                    "o1", "o1", "o1", "o1",
-                    "o1", "o2", "o1", "o2",
-                    "o1", "o1", "o3", "o3",
-                    "o1", "o2", "o3", "o4",
-                ],
-            ),
-            (
-                "or",
-                2,
-                [
-                    "o1", "o2", "o3", "o4",
-                    "o2", "o2", "o4", "o4",
-                    "o3", "o4", "o3", "o4",
-                    "o4", "o4", "o4", "o4",
-                ],
-            ),
-        ],
-    )
+    """Four-element boolean algebra O on {o1..o4}, the square of B:
+    o1 = bottom, o4 = top, o2 and o3 complementary atoms."""
+    return direct_product([boolean_2()] * 2, elements=["o1", "o2", "o3", "o4"], name="O").product
 
 
 def lattice_2() -> FiniteAlgebra:
@@ -88,47 +61,16 @@ def semilattice_2() -> FiniteAlgebra:
 
 def vector_space_gf(q: int, dim: int, name: str | None = None) -> FiniteAlgebra:
     """GF(q)^dim as a vector space over GF(q): zero, neg, add, and one
-    unary scalar operation s0..s{q-1} per field element."""
-    add_f, mul_f = finite_field(q)
-    size = q**dim
-
-    def coords(n: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(dim):
-            out.append(n % q)
-            n //= q
-        return tuple(out)
-
-    def pack(cs) -> int:
-        n = 0
-        for c in reversed(list(cs)):
-            n = n * q + c
-        return n
-
-    elems = [f"v{i}" for i in range(size)]
-    add = [
-        elems[pack(add_f[a][b] for a, b in zip(coords(i), coords(j)))]
-        for i in range(size)
-        for j in range(size)
-    ]
-    # additive inverse: the scalar (q-1)... only correct in characteristic p
-    # when computed per coordinate from the addition table
-    neg_of = [0] * q
-    for a in range(q):
-        for b in range(q):
-            if add_f[a][b] == 0:
-                neg_of[a] = b
-    neg = [elems[pack(neg_of[c] for c in coords(i))] for i in range(size)]
-    ops: list[tuple[str, int, list[str]]] = [
-        ("zero", 0, [elems[0]]),
-        ("neg", 1, neg),
-        ("add", 2, add),
-    ]
-    for r in range(q):
-        ops.append(
-            (f"s{r}", 1, [elems[pack(mul_f[r][c] for c in coords(i))] for i in range(size)])
-        )
-    return validate_algebra(name or f"V{q}_{dim}", elems, ops)
+    unary scalar operation s0..s{q-1} per field element; the direct
+    product of dim copies of the one-dimensional space."""
+    add, mul = finite_field(q)
+    line = build_algebra("V", [f"v{a}" for a in range(q)], [
+        ("zero", 0, (0,)),
+        ("neg", 1, tuple(row.index(0) for row in add)),
+        ("add", 2, tuple(c for row in add for c in row)),
+    ] + [(f"s{r}", 1, tuple(mul[r])) for r in range(q)])
+    return direct_product([line] * dim, prefix="v", name=name or f"V{q}_{dim}",
+                          signature=line.signature).product
 
 
 def one_element(signature: list[tuple[str, int]], name: str = "One") -> FiniteAlgebra:

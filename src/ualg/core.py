@@ -326,6 +326,8 @@ def build_algebra(name: str, elements: Sequence[str],
 
     sym_seen = set()
     for sym, arity, _ in operations:
+        if not IDENT_RE.match(sym):
+            problems.append(f"bad symbol name: {sym!r}")
         if sym in sym_seen:
             problems.append(f"duplicate symbol: {sym}")
         sym_seen.add(sym)
@@ -419,9 +421,9 @@ class Packing:
 
     rows[i] reads symbol i on digits: the translation table of its
     outputs at the row-major index of its argument digits when its
-    digit table has at most PACK_LIMIT cells, else its `Rows`.
-    commutative[i] says that symbol i is binary and commutative, and
-    keys is the `vector_keys` function of the digits."""
+    digit table has at most PACK_LIMIT cells, else its `Rows`.  tables
+    holds the tables of `alg`, as bytes when k <= PACK_LIMIT, and keys
+    is the `vector_keys` function of the digits."""
 
     def __init__(self, alg: FiniteAlgebra, width: int):
         k = self.k = len(alg.carrier)
@@ -432,9 +434,7 @@ class Packing:
         self.g, self.width, self.base, self.length = g, width, k ** g, -(-width // g)
         self.keys = vector_keys(self.length, self.base)
         # each table read once as bytes, when its indices fit them
-        tables = [bytes(t) if k <= PACK_LIMIT else t for t in alg.tables]
-        self.commutative = [arity == 2 and all(t[a * k:(a + 1) * k] == t[a::k] for a in range(k))
-                            for (_, arity), t in zip(alg.signature.symbols, tables)]
+        self.tables = tables = [bytes(t) if k <= PACK_LIMIT else t for t in alg.tables]
         firsts: dict[int, bytes] = {}
         self.rows = [None if arity == 0 else self._digit_row(t, arity, firsts)
                      if k ** arity <= PACK_LIMIT else Rows(t, k, k)
@@ -574,7 +574,9 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
     if len(starts) > most:
         raise _too_many_members()
     packing = Packing(alg, width)
-    ndigits, keys_of = packing.length, packing.keys
+    ndigits, keys_of, k = packing.length, packing.keys, packing.k
+    commutative = [arity == 2 and all(t[a * k:(a + 1) * k] == t[a::k] for a in range(k))
+                   for (_, arity), t in zip(alg.signature.symbols, packing.tables)]
     flat = packing.to_digits(starts)
     seen = set(keys_of(flat, len(starts)))
     constants = [packing.constant(table[0]) if arity == 0 else None
@@ -595,7 +597,7 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
                     flat += const
                     derivations.append((sym, ()))
                 continue
-            for block, slots in run_blocks(count, new_from, arity, packing.commutative[i],
+            for block, slots in run_blocks(count, new_from, arity, commutative[i],
                                            ndigits, limit - attempts):
                 out = packing.compose(i, arity, block, flat)
                 keys = keys_of(out, slots)

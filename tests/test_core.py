@@ -68,6 +68,16 @@ def test_validation_names_first_unknown_table_value():
                                   "unknown element in table for g/1: z"]
 
 
+def test_validation_lists_bad_symbol_names_with_symbol_problems():
+    with pytest.raises(InvalidAlgebra) as exc:
+        validate_algebra("A", ["a", "1x"], [("1bad", 0, ["a"]), ("f", 1, ["a", "a"]),
+                                            ("f", 1, ["a", "b"])])
+    assert exc.value.problems == ["bad element token: '1x'", "bad symbol name: '1bad'",
+                                  "duplicate symbol: f", "unknown element in table for f/1: b"]
+    with pytest.raises(InvalidAlgebra, match="bad symbol name: '1bad'"):
+        validate_algebra("A", ["a"], [("1bad", 0, ["a"])])
+
+
 def test_validation_empty_carrier():
     with pytest.raises(InvalidAlgebra) as exc:
         validate_algebra("E", [], [])
