@@ -1,5 +1,4 @@
-"""Subalgebra generation by stage iteration, clone fragments, and
-finite-case generation reports."""
+"""Subalgebra generation by stage iteration, and clone fragments."""
 
 from __future__ import annotations
 

@@ -427,7 +427,9 @@ def _element_profile(alg: FiniteAlgebra) -> list[tuple]:
 def check_isomorphism(
     a: FiniteAlgebra, b: FiniteAlgebra, node_budget: int = 10_000_000
 ) -> Optional[Morphism]:
-    """One bijective homomorphism with homomorphic inverse, or None.
+    """One bijective homomorphism, or None.  Its inverse is a homomorphism
+    too: for b_i = iso(a_i), f(b_1, ..., b_n) = iso(f(a_1, ..., a_n)), so
+    the inverse sends f(b_1, ..., b_n) to f(a_1, ..., a_n).
     Candidate images are pruned by table-derived element invariants; the
     backtracking itself is exhaustive, so pruning never loses witnesses."""
     _require_shared_signature(a, b)
@@ -445,15 +447,7 @@ def check_isomorphism(
     )
     if not found:
         return None
-    images = found[0]
-    iso = Morphism(a, b, tuple(b.carrier[v] for v in images))
-    assert check_homomorphism(iso)[0]
-    preimage = [0] * len(images)
-    for i, j in enumerate(images):
-        preimage[j] = i
-    inverse = Morphism(b, a, tuple(a.carrier[i] for i in preimage))
-    assert check_homomorphism(inverse)[0]
-    return iso
+    return Morphism(a, b, tuple(b.carrier[v] for v in found[0]))
 
 
 def reduct(alg: FiniteAlgebra, keep: Iterable[str], name: Optional[str] = None) -> FiniteAlgebra:
@@ -477,8 +471,10 @@ def reduct(alg: FiniteAlgebra, keep: Iterable[str], name: Optional[str] = None) 
 
 
 def homomorphic_image(m: Morphism, name: Optional[str] = None) -> Subuniverse:
-    """The range of a homomorphism as a subuniverse of the target."""
+    """The range of a homomorphism as a subuniverse of the target: closed,
+    since f(h(x_1), ..., h(x_n)) = h(f(x_1, ..., x_n))."""
     ok, witness = check_homomorphism(m)
     if not ok:
         raise ValueError(f"not a homomorphism: {witness}")
-    return Subuniverse.of(m.target, set(m.images))
+    image = set(m.images)
+    return Subuniverse(parent=m.target, members=tuple(e for e in m.target.carrier if e in image))

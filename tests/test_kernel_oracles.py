@@ -25,7 +25,8 @@ from ualg.core import (PACK_LIMIT, ClosureWitness, FiniteAlgebra, Rows, Subunive
                        close, induced_tables, pack, semi_naive_runs, weighted_sum)
 from ualg.generation import CloneFragment, CloneMember, GenerationResult, GenerationTrace, generate
 from ualg.morphisms import HomWitness
-from ualg.reduced_power import _sort_key, adjoin_generate, canonicalize, std_embed
+from ualg.reduced_power import (_sort_key, adjoin_generate, canonicalize, coordinate_retraction,
+                                std_embed)
 from ualg.terms import App, SatisfactionResult, Var, term_variables
 
 from conftest import pointwise_apply
@@ -466,6 +467,12 @@ def random_factors(seed):
 def test_direct_product_matches_string_tables(factors):
     prod = direct_product(factors)
     assert prod.product.tables == oracle_product_tables(factors)
+    tuples = list(itertools.product(*(f.carrier for f in factors)))
+    assert len(prod.projections) == len(factors)
+    for fi, (f, proj) in enumerate(zip(factors, prod.projections)):
+        assert (proj.source, proj.target) == (prod.product, f)
+        assert proj.images == tuple(t[fi] for t in tuples)
+        assert proj.is_surjective and check_homomorphism(proj)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -491,6 +498,12 @@ def test_adjoin_matches_pointwise_closure(seed):
     assert ext.members == members == tuple_adjoin_members(alg, gens)
     assert ext.algebra.tables == tables
     assert ext.labels == tuple(zip(ext.algebra.carrier, members))
+    label = {m: e for e, m in ext.labels}
+    for i in range(pre + period):
+        r = coordinate_retraction(ext, i)
+        assert r.images == tuple(label[std_embed(alg, m.at(i))] for m in members)
+        assert all(r(c) == c for c in ext.constants())
+        assert check_homomorphism(r)[0]
 
 
 def closure_case(seed, k, width, columns, arities, budget):

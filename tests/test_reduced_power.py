@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ualg
 from ualg import (
     EpSequence,
     adjoin_generate,
@@ -121,6 +126,28 @@ def test_adjoin_budget():
             [canonicalize(boolean_4(), [], ["o1", "o2", "o3", "o4", "o2", "o3"])],
             budget=10,
         )
+
+
+NON_CANONICAL = """
+from ualg import EpSequence, UalgError, adjoin_generate
+from ualg.catalog import boolean_2
+B = boolean_2()
+try:
+    adjoin_generate(B, [EpSequence(B, (), ("b1", "b2", "b1", "b2"))])
+except UalgError as exc:
+    print(__debug__, exc)
+"""
+
+
+def test_adjoin_rejects_non_canonical_generator():
+    # period b1 b2 b1 b2 is not primitive; the check must hold under -O too
+    B = boolean_2()
+    with pytest.raises(UalgError, match="generator not canonical"):
+        adjoin_generate(B, [EpSequence(B, (), ("b1", "b2", "b1", "b2"))])
+    env = dict(os.environ, PYTHONPATH=str(Path(ualg.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", NON_CANONICAL], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False generator not canonical\n", "")
 
 
 def test_coordinate_retractions():

@@ -114,6 +114,8 @@ def test_check_isomorphism_matches_every_bijection(seed):
     assert (iso is not None) == brute_isomorphic(a, b)
     if iso is not None:
         assert iso.is_injective and iso.is_homomorphism
+        preimage = {v: x for x, v in iso.as_dict().items()}
+        assert check_homomorphism(Morphism(b, a, tuple(preimage[y] for y in b.carrier)))[0]
 
 
 def test_isomorphism_of_two_equal_cycles():
