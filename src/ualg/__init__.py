@@ -78,7 +78,6 @@ from .fileformat import (
     parse_algebra_file,
     parse_equation_file,
     serialize_algebra,
-    serialize_algebras,
 )
 
 __version__ = "0.1.0"

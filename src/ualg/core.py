@@ -109,18 +109,15 @@ def as_row(values: Sequence[int], n: int):
 class Rows(dict):
     """The rows of an operation table over k elements, each built on first
     use: self[r] is `as_row` of the outputs for the argument prefix of
-    row-major index r, one per last argument.  With `transposed`, a binary
-    table's self[r] is instead the outputs with r as the last argument,
-    one per first argument."""
+    row-major index r, one per last argument."""
 
-    def __init__(self, table: Sequence[int], k: int, n: int, transposed: bool = False):
+    def __init__(self, table: Sequence[int], k: int, n: int):
         super().__init__()
-        self.table, self.k, self.n, self.transposed = table, k, n, transposed
+        self.table, self.k, self.n = table, k, n
 
     def __missing__(self, r: int):
         k = self.k
-        cells = self.table[r::k] if self.transposed else self.table[r * k:(r + 1) * k]
-        self[r] = row = as_row(cells, self.n)
+        self[r] = row = as_row(self.table[r * k:(r + 1) * k], self.n)
         return row
 
 
@@ -238,9 +235,6 @@ class FiniteAlgebra:
             cell = cell * len(self.carrier) + a
         return self.carrier[self.table(symbol)[cell]]
 
-    def nullary_value(self, symbol: str) -> str:
-        return self.carrier[self.table(symbol)[0]]
-
 
 def validate_algebra(
     name: str,
@@ -270,7 +264,10 @@ def power_exceeds(base: int, exponent: int, limit: int) -> bool:
 def size_mismatch(k: int, arity: int, found: int) -> Optional[str]:
     """None when found is k**arity, the cell count of a table of that
     arity over k elements; else that count as an error message shows it:
-    in digits up to 2**64, past it as k^arity, never built."""
+    in digits up to 2**64, past it as k^arity, never built.  None for a
+    negative arity, which `build_algebra` reports instead."""
+    if arity < 0:
+        return None
     if power_exceeds(k, arity, 1 << 64):
         return f"{k}^{arity}"
     expected = k ** arity

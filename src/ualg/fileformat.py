@@ -154,10 +154,6 @@ def serialize_algebra(alg: FiniteAlgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_algebras(algs: list[FiniteAlgebra]) -> str:
-    return "\n".join(serialize_algebra(a) for a in algs)
-
-
 def parse_equation_file(text: str, name: str = "equations") -> EquationSet:
     variables: tuple[str, ...] = ()
     seen_vars = False

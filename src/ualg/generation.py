@@ -59,10 +59,13 @@ def generate(alg: FiniteAlgebra, seed: Iterable[str]) -> GenerationResult:
     return GenerationResult(subuniverse=Subuniverse(parent=alg, members=stages[-1]), trace=trace)
 
 
-def all_subuniverses(alg: FiniteAlgebra, max_size: int = 5) -> tuple[tuple[str, ...], ...]:
+MAX_SUBUNIVERSE_CARRIER = 5  # the largest carrier that `all_subuniverses` enumerates
+
+
+def all_subuniverses(alg: FiniteAlgebra) -> tuple[tuple[str, ...], ...]:
     """Every subuniverse, by exhaustive subset enumeration.  Guarded by a
     carrier-size budget since the enumeration is exponential."""
-    if len(alg.carrier) > max_size:
+    if len(alg.carrier) > MAX_SUBUNIVERSE_CARRIER:
         raise BudgetExceeded(
             f"subuniverse lattice enumeration refused for carrier size {len(alg.carrier)}"
         )

@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Literal, Optional, Sequence
 
 from .core import IDENT_RE, BudgetExceeded, FiniteAlgebra, Signature, Subuniverse, UalgError
@@ -27,8 +26,8 @@ def _require_shared_signature(a: FiniteAlgebra, b: FiniteAlgebra) -> None:
 @dataclass(frozen=True)
 class Morphism:
     """A total map between carriers, stored as the image tuple aligned
-    with the source carrier order.  Status flags are recomputed from the
-    map, never trusted."""
+    with the source carrier order.  Whether it is a homomorphism is
+    `check_homomorphism`'s to say."""
 
     source: FiniteAlgebra
     target: FiniteAlgebra
@@ -46,25 +45,6 @@ class Morphism:
 
     def as_dict(self) -> dict[str, str]:
         return dict(zip(self.source.carrier, self.images))
-
-    @cached_property
-    def is_homomorphism(self) -> bool:
-        return check_homomorphism(self)[0]
-
-    @property
-    def is_injective(self) -> bool:
-        return len(set(self.images)) == len(self.images)
-
-    @property
-    def is_surjective(self) -> bool:
-        return set(self.images) == set(self.target.carrier)
-
-    @property
-    def is_idempotent(self) -> bool:
-        """r(r(x)) = r(x); only meaningful for endomorphisms."""
-        if self.source is not self.target and self.source != self.target:
-            raise ValueError("idempotence is defined for endomorphisms only")
-        return all(self(self(e)) == self(e) for e in self.source.carrier)
 
 
 @dataclass(frozen=True)
@@ -334,22 +314,22 @@ def enumerate_homomorphisms(
     node_budget: int = 10_000_000,
 ):
     """Homomorphisms src -> dst.  mode "list": all of them, sorted by
-    image tuple (source carrier order); "count": their number; "first":
-    the first one the search meets, or None.  The search takes elements
-    in its own fail-first order, so that map need not be the first of
-    the sorted list."""
+    image tuple (source carrier order); "count": their number, read off
+    the search's image tuples without sorting them or building a
+    `Morphism`; "first": the first one the search meets, or None.  The
+    search takes elements in its own fail-first order, so that map need
+    not be the first of the sorted list."""
     stop = 1 if mode == "first" else None
     every = range(len(dst.carrier))
     raw = _search_homomorphisms(
         src, dst, [every] * len(src.carrier), stop_after=stop, node_budget=node_budget
     )
+    if mode == "count":
+        return len(raw)
     if mode == "first" and not raw:
         return None
-    morphisms = sorted(raw)
-    if mode == "count":
-        return len(morphisms)
     result = [
-        Morphism(src, dst, tuple(dst.carrier[v] for v in images)) for images in morphisms
+        Morphism(src, dst, tuple(dst.carrier[v] for v in images)) for images in sorted(raw)
     ]
     if mode == "first":
         return result[0]
@@ -470,7 +450,7 @@ def reduct(alg: FiniteAlgebra, keep: Iterable[str], name: Optional[str] = None) 
     )
 
 
-def homomorphic_image(m: Morphism, name: Optional[str] = None) -> Subuniverse:
+def homomorphic_image(m: Morphism) -> Subuniverse:
     """The range of a homomorphism as a subuniverse of the target: closed,
     since f(h(x_1), ..., h(x_n)) = h(f(x_1, ..., x_n))."""
     ok, witness = check_homomorphism(m)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import BudgetExceeded, FiniteAlgebra, UalgError
@@ -120,16 +119,9 @@ class GeneratedExtension:
     algebra: FiniteAlgebra
     labels: tuple[tuple[str, EpSequence], ...]  # fresh urelement -> member
 
-    @cached_property
-    def member_to_label(self) -> dict[EpSequence, str]:
-        return {m: e for e, m in self.labels}
-
-    def label_of(self, seq: EpSequence) -> str:
-        return self.member_to_label[seq]
-
     def constants(self) -> tuple[str, ...]:
         """Labels of the standard copy, in base carrier order."""
-        return tuple(self.label_of(std_embed(self.base, e)) for e in self.base.carrier)
+        return self.algebra.carrier[:len(self.base.carrier)]
 
 
 def adjoin_generate(
@@ -143,7 +135,8 @@ def adjoin_generate(
     generators' maximum and period length dividing the lcm of their period
     lengths, since the constants and the generators all repeat from that
     preperiod with that period, and pointwise images keep this.  A
-    generator not in canonical form raises UalgError."""
+    generator not in canonical form raises UalgError.  Members come
+    constants first, in base carrier order, then as `_sort_key` orders."""
     gens = tuple(gens)
     for g in gens:
         if g.base != alg:
@@ -199,10 +192,9 @@ def coordinate_retraction(ext: GeneratedExtension, index: int) -> Morphism:
     index.  A genuine retraction in this computable model."""
     if index < 0:
         raise UalgError("index must be >= 0")
-    images = tuple(
-        ext.label_of(std_embed(ext.base, m.at(index))) for m in ext.members
-    )
-    return Morphism(ext.algebra, ext.algebra, images)
+    labels, index_of = ext.algebra.carrier, ext.base.index_of  # constants first
+    return Morphism(ext.algebra, ext.algebra,
+                    tuple(labels[index_of[m.at(index)]] for m in ext.members))
 
 
 def preservation_suite(alg: FiniteAlgebra, eqs, gens: Iterable[EpSequence],

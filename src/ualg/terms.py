@@ -280,7 +280,9 @@ def _plan(program: list[tuple], used: Sequence[int], k: int,
     """One pass over a compiled program: each node's step for `_run`, and
     whether it is full.  `rows` holds what the steps read of each table,
     keyed by step code, table identity and orientation, so that every
-    group of one check builds it once."""
+    group of one check builds it once.  A binary node whose outer
+    argument is its second reads the table with its arguments swapped:
+    `_JOIN` its columns, `_BLOCKS` the rows of a column-major copy."""
     last = used[-1] if used else None
     stride = {v: k ** (len(used) - 2 - j) for j, v in enumerate(used[:-1])}
     steps: list[tuple] = []
@@ -299,8 +301,9 @@ def _plan(program: list[tuple], used: Sequence[int], k: int,
                     bytes(table[r::k] if transposed else table[r * k:(r + 1) * k])
                     for r in range(k)]), outer)
             else:
-                step = (_BLOCKS, _shared(rows, _BLOCKS, table, transposed,
-                                         lambda: Rows(table, k, k, transposed)), (outer, inner))
+                step = (_BLOCKS, _shared(rows, _BLOCKS, table, transposed, lambda: Rows(
+                    [v for r in range(k) for v in table[r::k]] if transposed else table, k, k)),
+                    (outer, inner))
         elif len(arg) == 1:
             is_full = full[arg[0]]
             step = (_UNARY, _shared(rows, _UNARY, table, False, lambda: as_row(table, k)), arg[0])

@@ -44,8 +44,8 @@ def test_power_exceeds_matches_the_exact_power():
 def test_nullary_table_has_one_entry():
     B = boolean_2()
     assert len(B.table("zero")) == 1
-    assert B.nullary_value("zero") == "b1"
-    assert B.nullary_value("one") == "b2"
+    assert B.apply("zero") == "b1"
+    assert B.apply("one") == "b2"
 
 
 def test_validation_collects_all_problems():
@@ -82,6 +82,17 @@ def test_validation_empty_carrier():
     with pytest.raises(InvalidAlgebra) as exc:
         validate_algebra("E", [], [])
     assert "empty carrier" in str(exc.value)
+
+
+@pytest.mark.parametrize("elements, values, problems", [
+    ([], [], ["empty carrier", "negative arity for f"]),
+    (["a", "b"], ["a"], ["negative arity for f"]),
+])
+def test_validation_negative_arity(elements, values, problems):
+    # a negative arity has no table size, so no size mismatch is listed
+    with pytest.raises(InvalidAlgebra) as exc:
+        validate_algebra("A", elements, [("f", -1, values)])
+    assert exc.value.problems == problems
 
 
 def test_signature_matching_ignores_order():
@@ -127,7 +138,7 @@ def test_subuniverse_as_algebra():
     alg = sub.as_algebra("O2")
     assert alg.carrier == ("o1", "o4")
     assert alg.apply("or", "o1", "o4") == "o4"
-    assert alg.nullary_value("one") == "o4"
+    assert alg.apply("one") == "o4"
 
 
 def test_subuniverse_rejects_open_subset():

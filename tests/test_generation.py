@@ -73,7 +73,7 @@ def test_generate_is_least_containing_subuniverse():
 
 def test_all_subuniverses_budget():
     with pytest.raises(BudgetExceeded):
-        all_subuniverses(cyclic_group(6), max_size=5)
+        all_subuniverses(cyclic_group(6))
 
 
 def _clone_oracle(alg, n, depth=4):

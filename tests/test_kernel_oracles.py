@@ -268,7 +268,7 @@ def oracle_adjoin(alg, gens):
     ordered = sorted(members, key=_sort_key)
     index = {m: i for i, m in enumerate(ordered)}
     tables = tuple(
-        (index[std_embed(alg, alg.nullary_value(sym))],) if arity == 0 else tuple(
+        (index[std_embed(alg, alg.apply(sym))],) if arity == 0 else tuple(
             index[pointwise_apply(sym, combo)]
             for combo in itertools.product(ordered, repeat=arity)
         )
@@ -472,7 +472,7 @@ def test_direct_product_matches_string_tables(factors):
     for fi, (f, proj) in enumerate(zip(factors, prod.projections)):
         assert (proj.source, proj.target) == (prod.product, f)
         assert proj.images == tuple(t[fi] for t in tuples)
-        assert proj.is_surjective and check_homomorphism(proj)[0]
+        assert set(proj.images) == set(f.carrier) and check_homomorphism(proj)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -499,6 +499,7 @@ def test_adjoin_matches_pointwise_closure(seed):
     assert ext.algebra.tables == tables
     assert ext.labels == tuple(zip(ext.algebra.carrier, members))
     label = {m: e for e, m in ext.labels}
+    assert ext.constants() == tuple(label[std_embed(alg, e)] for e in alg.carrier)
     for i in range(pre + period):
         r = coordinate_retraction(ext, i)
         assert r.images == tuple(label[std_embed(alg, m.at(i))] for m in members)

@@ -89,7 +89,7 @@ def test_retractions_of_lattice_reduct():
     maps = [m.as_dict() for m in rets]
     assert {"o1": "o1", "o2": "o1", "o3": "o4", "o4": "o4"} in maps
     for m in rets:
-        assert m.is_idempotent
+        assert all(m(m(e)) == m(e) for e in Ored.carrier)
         assert set(m.images) == {"o1", "o4"}
 
 
@@ -198,7 +198,7 @@ def test_isomorphism_search_on_shuffled_carriers():
     Z3xZ20 = direct_product([cyclic_group(3), cyclic_group(20)], name="Z3xZ20").product
     iso = check_isomorphism(shuffled(Z3xZ20, 0), shuffled(cyclic_group(60), 0),
                             node_budget=1_000)
-    assert iso is not None and iso.is_injective
+    assert iso is not None and len(set(iso.images)) == 60
 
 
 def test_hom_count_on_shuffled_carriers():

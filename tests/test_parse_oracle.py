@@ -19,7 +19,6 @@ from ualg import (
     Signature,
     parse_algebra_file,
     serialize_algebra,
-    serialize_algebras,
 )
 from ualg import fileformat
 from ualg.catalog import cyclic_group
@@ -226,7 +225,7 @@ MUTATIONS = [unknown_token, dropped_token, stray_equals, trailing_comment, tabs,
 
 def random_file(rng):
     algs = [random_algebra(rng, max_size=4, name=f"A{i}") for i in range(rng.randint(1, 3))]
-    return serialize_algebras(algs)
+    return "\n".join(map(serialize_algebra, algs))
 
 
 def mutated_file(rng):

@@ -10,7 +10,7 @@ import random
 from collections import Counter
 from typing import Iterable, Optional
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ualg import (
     BudgetExceeded,
@@ -94,9 +94,10 @@ def brute_isomorphic(a, b):
     )
 
 
-@settings(max_examples=150, deadline=None)
-@given(seeds)
-def test_check_isomorphism_matches_every_bijection(seed):
+def iso_pair(seed):
+    """A random algebra and a relabelled copy of it, with one table cell
+    changed for half the seeds: usually, not always, no longer
+    isomorphic."""
     rng = random.Random(seed)
     n = rng.randint(2, 5)
     symbols = [(f"f{i}", rng.randint(0, 2)) for i in range(rng.randint(1, 3))]
@@ -104,16 +105,29 @@ def test_check_isomorphism_matches_every_bijection(seed):
                      random_tables(rng, n, symbols))
     b = relabelled(rng, a, "B")
     if rng.random() < 0.5:
-        # one changed cell: usually, not always, no longer isomorphic
         sym, arity = rng.choice(symbols)
         tables = [list(b.table(s)) for s, _ in symbols]
         t = tables[symbols.index((sym, arity))]
         t[rng.randrange(len(t))] = rng.randrange(n)
         b = make_algebra("B", b.carrier, symbols, tables)
+    return a, b
+
+
+def unary_algebra(name, table):
+    return make_algebra(name, [f"{name.lower()}{i}" for i in range(len(table))],
+                        [("f", 1)], [table])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds.map(iso_pair))
+# equal sorted element profiles, so only the search finds them not isomorphic
+@example((unary_algebra("A", (0, 0, 0, 1, 4, 4)), unary_algebra("B", (0, 0, 0, 3, 3, 4))))
+def test_check_isomorphism_matches_every_bijection(pair):
+    a, b = pair
     iso = check_isomorphism(a, b)
     assert (iso is not None) == brute_isomorphic(a, b)
     if iso is not None:
-        assert iso.is_injective and iso.is_homomorphism
+        assert len(set(iso.images)) == len(a.carrier) and check_homomorphism(iso)[0]
         preimage = {v: x for x, v in iso.as_dict().items()}
         assert check_homomorphism(Morphism(b, a, tuple(preimage[y] for y in b.carrier)))[0]
 
@@ -124,7 +138,7 @@ def test_isomorphism_of_two_equal_cycles():
     elements = ["c0", "c1", "c2", "c3"]
     C = validate_algebra("C", elements, [("s", 1, ["c1", "c0", "c3", "c2"])])
     iso = check_isomorphism(C, C)
-    assert iso is not None and iso.is_injective
+    assert iso is not None and len(set(iso.images)) == 4
 
 
 def walked_orbit_sizes(step):
