@@ -37,6 +37,8 @@ class ParseError(UalgError):
 
 
 _OP_RE = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_]*)/(?P<arity>\d+)\Z")
+# a string of tokens that each match IDENT_RE, between whitespace
+_IDENTS_RE = re.compile(r"\s*(?:[A-Za-z][A-Za-z0-9_]*(?:\s+|\Z))*")
 
 
 def _strip_comment(line: str) -> str:
@@ -103,9 +105,12 @@ def parse_algebra_file(text: str) -> list[FiniteAlgebra]:
             if name is None:
                 fail(lineno, col, "`elements` outside an algebra block")
             elements = tokens[1:]
-            for e in elements:
-                if not IDENT_RE.match(e):
-                    fail(lineno, line.index(e) + 1, f"bad element token: {e!r}")
+            at = col - 1 + len(head)  # where the values start in the line
+            if not _IDENTS_RE.fullmatch(line, at):  # one match for the whole line
+                for token in re.finditer(r"\S+", line[at:]):
+                    if not IDENT_RE.match(token.group()):
+                        fail(lineno, at + token.start() + 1,
+                             f"bad element token: {token.group()!r}")
             index = dict(zip(elements, range(len(elements))))
             # tables read before this line are read again over these elements
             ops = [(sym, arity, read_table(_strip_comment(lines[n - 1]).split(None, 3)[3],

@@ -6,10 +6,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Literal, Optional, Sequence
 
 from .core import IDENT_RE, BudgetExceeded, FiniteAlgebra, Signature, Subuniverse, UalgError
-from .core import Rows, UnknownSymbol, as_row, gather, pack, semi_naive_runs
+from .core import PACK_LIMIT, Rows, UnknownSymbol, as_row, gather, pack, semi_naive_runs
+from .core import weighted_sum
 
 
 class SignatureMismatch(UalgError):
@@ -84,103 +86,172 @@ def check_homomorphism(m: Morphism) -> tuple[bool, Optional[HomWitness]]:
     return True, None
 
 
-def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra, fixed: dict[int, int],
-              n: int) -> tuple[list, list]:
-    """The closure levels of the search, from the source alone.  Level 0
-    is Sg(fixed elements and constants); level j adds its branch element,
-    the first element in fail-first order (most table outputs first;
-    lists and counts are sorted later, so only the first map found under
-    `stop_after` depends on it) outside the closure so far, and the rest
-    of the closure with it.
+def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra,
+              fixed: dict[int, int]) -> tuple[list, list, list[int]]:
+    """The closure levels of the search, from the source alone, as
+    programs over positions: the source elements numbered in the order
+    the closure reaches them, the fixed elements first, so that each
+    level's elements hold consecutive positions start..end-1.  Level 0
+    is Sg(fixed elements and constants); level j adds its branch
+    element, the first element in fail-first order (most table outputs
+    first; lists and counts are sorted later, so only the first map
+    found under `stop_after` depends on it) outside the closure so far,
+    at position start, and the rest of the closure with it.
 
-    Returns (ground, levels).  ground lists (element, target constant)
-    for each constant whose element is mapped before it.  A level is
-    (branch element, or None for level 0; derivations; new elements;
-    columns; checks).  A derivation (output, target table, args) gives a
-    new element's image from those of earlier ones.  The two columns are
-    the closure and the new elements, packed with n.  The checks hold,
-    per symbol of arity >= 1, the target's rows, the runs, and the source
-    outputs of all runs packed with n.  A run (prefix, new_only, lo, hi)
-    stands for the cells prefix + (c,) for c in the closure, or with
-    new_only in the new elements, whose outputs are outputs[lo:hi]: one
-    per prefix over the closure, new_only when the prefix holds no new
-    element, so the runs cover each cell with a new element once."""
+    Returns (ground, levels, position), position[e] being the position
+    of element e.  ground lists (position, target constant) for each
+    constant whose element is mapped before it.  A level is (branch
+    element, or None for level 0; start; end; flat; derivations; flat
+    checks; run checks).  Derivation d gives the image of the element at
+    position end - len(derivations) + d through the target table of one
+    symbol, as (slot, scalars, table, place, args) when one argument is
+    from this level, else (slots, scalars, table, places, args).  Slot s
+    is position start + s; scalars lists (position, place) for the
+    arguments from earlier levels; a place is the place value of an
+    argument in the row-major table index; args are the argument
+    positions, None for a unary symbol.  The table is a translation
+    table when it has at most PACK_LIMIT cells, and a level is flat when
+    it branches and every table it derives through is one.  A level
+    derived per candidate reads only the tables and args.
+
+    The checks cover each table cell that holds a new element once.  On
+    a branching level, a symbol whose target table is a translation
+    table has one flat check (argument columns, their places, output
+    column, the table), positions packed with the source size, of the
+    cells as the closure walk meets them, without those whose outputs
+    the level's derivations fixed.  Every other symbol, and every symbol
+    on level 0, has one run check (target rows, runs, outputs of all
+    runs).  A run (prefix, new_only, lo, hi) stands for the cells
+    prefix + (p,) for each position p of the closure, or with new_only
+    of the new elements, whose outputs are outputs[lo:hi]."""
     ks, kd = len(src.carrier), len(dst.carrier)
     hits = Counter(itertools.chain.from_iterable(src.tables))
-    order = iter(sorted(range(ks), key=lambda i: (-hits[i], i)))
-    ops = [(arity, src.table(sym), dst.table(sym), Rows(src.table(sym), ks, n),
-            Rows(dst.table(sym), kd, n)) for sym, arity in src.signature.symbols]
-    closed = list(fixed)
+    # a stable sort on negated hit counts keeps equal counts in index order
+    order = iter(sorted(range(ks), key=[-hits[i] for i in range(ks)].__getitem__))
+    # per symbol: arity, source table and rows, target table (as a
+    # translation table if it fits one) and rows
+    ops = []
+    for (sym, arity), s_table in zip(src.signature.symbols, src.tables):
+        table = dst.table(sym)
+        if arity and kd ** arity <= PACK_LIMIT:
+            table = as_row(table, PACK_LIMIT)
+        ops.append((arity, s_table, Rows(s_table, ks, ks), table, Rows(table, kd, kd)))
+    closed = list(fixed)  # the element at each position
+    position = [0] * ks
+    for p, e in enumerate(closed):
+        position[e] = p
     seen = set(closed)
-    packed = pack(closed, n)
+    packed = pack(closed, ks)
+    every = pack(range(ks), ks)  # each position at itself
     derivations: list = []
 
-    def add(out: int, d_table: Sequence[int], args: tuple[int, ...]) -> None:
+    def add(out: int, derivation: tuple) -> None:
+        position[out] = len(closed)
         seen.add(out)
         closed.append(out)
         packed.append(out)
-        derivations.append((out, d_table, args))
+        derivations.append(derivation)
 
     ground = []
-    for arity, s_table, d_table, _, _ in ops:
+    for arity, s_table, _, table, _ in ops:
         if arity == 0:
             if s_table[0] in seen:
-                ground.append((s_table[0], d_table[0]))
+                ground.append((position[s_table[0]], table[0]))
             else:
-                add(s_table[0], d_table, ())
+                add(s_table[0], ((), (), table, (), ()))
     levels, gen, start = [], None, 0
     while True:
-        # semi-naive: element e = closed[head] meets only the tuples over
-        # closed[:head + 1] that hold it, split by the first position of e
+        flat = gen is not None and kd <= PACK_LIMIT
+        # per flat-checked symbol: its argument columns and output column;
+        # level 0 is checked once, so whole runs are cheaper there
+        cells = [([pack((), ks) for _ in range(arity)], pack((), ks))
+                 if type(table) is bytes and gen is not None else None
+                 for arity, _, _, table, _ in ops]
+        # semi-naive: the element at position head meets only the tuples
+        # over positions 0..head that hold it, split by its first place
         head = start
         while head < len(closed):
             e = closed[head]
-            for arity, s_table, d_table, s_rows, _ in ops:
+            for i, (arity, s_table, s_rows, table, _) in enumerate(ops):
                 if arity == 0:
                     continue
                 if arity == 1:  # one step per element along a unary chain
-                    if s_table[e] not in seen:
-                        add(s_table[e], d_table, (e,))
+                    out = s_table[e]
+                    if out not in seen:
+                        add(out, (head - start, (), table, 1, None))
+                    elif cells[i]:
+                        cells[i][0][0].append(head)
+                        cells[i][1].append(out)
                     continue
-                old, cur = closed[:head], closed[:head + 1]
-                runs = [(s_rows, itertools.product(*[old] * q, (e,), *[cur] * (arity - 2 - q)),
-                         cur, ()) for q in range(arity - 1)]
-                if head:  # e last: fold the last argument into the table
-                    runs.append((Rows(s_table[e::ks], ks, n),
-                                 itertools.product(old, repeat=arity - 2), old, (e,)))
-                for rows, prefixes, column, suffix in runs:
-                    col = packed[:len(column)]
+                runs = [(s_rows, itertools.product(*[range(head)] * q, (head,),
+                                                   *[range(head + 1)] * (arity - 2 - q)),
+                         head + 1, ()) for q in range(arity - 1)]
+                if head:  # head last: fold the last argument into the table
+                    runs.append((Rows(s_table[e::ks], ks, ks),
+                                 itertools.product(range(head), repeat=arity - 2), head, (head,)))
+                for rows, prefixes, count, suffix in runs:
+                    col = packed[:count]
                     for prefix in prefixes:
                         r = 0
-                        for a in prefix:
-                            r = r * ks + a
+                        for p in prefix:
+                            r = r * ks + closed[p]
                         outs = gather(rows[r], col)
+                        kept = range(count)
                         if not seen.issuperset(outs):
+                            kept = []
                             for c, out in enumerate(outs):
-                                if out not in seen:
-                                    add(out, d_table, prefix + (column[c],) + suffix)
+                                if out in seen:
+                                    kept.append(c)
+                                    continue
+                                args = prefix + (c,) + suffix
+                                flat = flat and type(table) is bytes
+                                if not flat:  # derived per candidate, from args
+                                    add(out, (None, None, table, None, args))
+                                    continue
+                                scalars, slots, places, place = [], [], [], 1
+                                for a in reversed(args):
+                                    if a < start:
+                                        scalars.append((a, place))
+                                    else:
+                                        slots.append(a - start)
+                                        places.append(place)
+                                    place *= kd
+                                if len(slots) == 1:
+                                    add(out, (slots[0], scalars, table, places[0], args))
+                                else:
+                                    add(out, (slots, scalars, table, places, args))
+                        if cells[i] and kept:
+                            cols, found = cells[i]
+                            whole = len(kept) == count
+                            last = every[:count] if whole else pack(kept, ks)
+                            for column, a in zip(cols, prefix + (None,) + suffix):
+                                column += last if a is None else every[a:a + 1] * len(last)
+                            found += outs if whole else pack(map(outs.__getitem__, kept), ks)
             head += 1
         end = len(closed)
-        columns = (packed[:end], packed[start:end])
-        checks = []
-        for arity, _, _, s_rows, d_rows in ops:
-            if arity == 0:
-                continue
-            runs, outs = [], pack((), n)
-            for prefix, low in semi_naive_runs(end, start, arity):
-                args = tuple(closed[p] for p in prefix)
-                r = 0
-                for a in args:
-                    r = r * ks + a
-                lo = len(outs)
-                outs.extend(gather(s_rows[r], columns[low > 0]))
-                runs.append((args, low > 0, lo, len(outs)))
-            checks.append((d_rows, runs, outs))
-        levels.append((gen, derivations, closed[start:end], columns, checks))
+        to_position = as_row(position, ks)
+        flat_checks, run_checks = [], []
+        for (arity, _, s_rows, table, d_rows), cell in zip(ops, cells):
+            if cell and cell[1]:
+                cols, found = cell
+                flat_checks.append((cols, [kd ** (arity - 1 - j) for j in range(arity)],
+                                    gather(to_position, found), table))
+            elif arity and not cell:
+                runs, outs = [], pack((), ks)
+                for prefix, low in semi_naive_runs(end, start, arity):
+                    r = 0
+                    for p in prefix:
+                        r = r * ks + closed[p]
+                    lo = len(outs)
+                    outs += gather(s_rows[r], packed[low:end])
+                    runs.append((prefix, low > 0, lo, len(outs)))
+                run_checks.append((d_rows, runs, gather(to_position, outs)))
+        levels.append((gen, start, end, flat, derivations, flat_checks, run_checks))
         if end == ks:
-            return ground, levels
+            return ground, levels, position
         gen = next(i for i in order if i not in seen)
         derivations, start = [], end
+        position[gen] = end
         seen.add(gen)
         closed.append(gen)
         packed.append(gen)
@@ -202,86 +273,176 @@ def _search_homomorphisms(
     and each later level branches on one element g, the first in
     fail-first order outside the closure so far.  g takes its image from
     candidates[g], with `injective` skipping images in use; each such
-    choice is one node.  A node derives the images of the level's new
-    elements from the target tables, one recorded application each, and
-    prunes if a derived image is not among the element's candidates or,
-    with `injective`, is in use; then it checks every cell of the level
-    with a new element in it, whole rows at a time.  The closure levels
-    are those that propagating forced cells would visit, so the search
-    branches on the same elements with the same verdicts.  Returns image
-    index tuples, unsorted, in the depth-first order of the same search
-    without derivations."""
+    choice is one node.  A choice fails if a derived image is not among
+    its element's candidates or, with `injective`, is in use or repeats
+    one of the level, or if a checked cell of the level does not commute.
+
+    A flat level (`_schedule`) derives the images of its new elements
+    for every candidate of g at once, when the search enters it: each
+    derivation is one translate of a byte per candidate.  Each candidate
+    then takes its images, one slice of those, and checks the level
+    with one compare per flat-checked symbol: the argument columns read
+    through the images, weighted into table indices, translated through
+    the target table, against the output column read the same way.
+    Other levels derive per candidate, one recorded application each,
+    and symbols whose target tables exceed a translation table are
+    checked one run of last arguments at a time through the target's
+    rows.  The closure levels are those that propagating forced cells
+    would visit, so the search branches on the same elements with the
+    same verdicts.  Returns image index tuples, unsorted, in the
+    depth-first order of the same search without derivations."""
     _require_shared_signature(src, dst)
     ks, kd = len(src.carrier), len(dst.carrier)
-    n = max(ks, kd)
     fixed = fixed or {}
-    ground, levels = _schedule(src, dst, fixed, n)
+    ground, levels, position = _schedule(src, dst, fixed)
     # one set per distinct list: a hom search passes one list for every element
-    as_set: dict[int, set[int]] = {}
-    for c in candidates:
-        if id(c) not in as_set:
-            as_set[id(c)] = set(c)
-    allowed = [as_set[id(c)] for c in candidates]
-    img = [0] * ks
+    sets = {key: set(c) for key, c in dict(zip(map(id, candidates), candidates)).items()}
+    # per position, the images its candidates allow, unless all allow all
+    allowed = None
+    if any(len(a) < kd for a in sets.values()):
+        allowed = [None] * ks
+        for e, c in enumerate(candidates):
+            allowed[position[e]] = sets[id(c)]
+    # per allowed set short of the target, built when a flat level first
+    # needs it: the translation table with 1 at each image it denies
+    denied: dict[int, bytes] = {}
+    # images by position: a translation table when both sizes allow it
+    img = bytearray(max(ks, PACK_LIMIT)) if kd <= PACK_LIMIT else [0] * ks
+    if ks <= PACK_LIMIT >= kd:
+        def look(column):
+            return column.translate(img)
+    else:
+        def look(column):
+            return pack(map(img.__getitem__, column), kd)
     # used[v] is set only under `injective`, so the checks on it are
     # no-ops for plain hom searches
-    used = [False] * kd
+    used = bytearray(max(kd, PACK_LIMIT))
+    mark = 1 if injective else 0
 
-    def release(elements: Iterable[int]) -> None:
+    def release(start: int, stop: int) -> None:
         if injective:
-            for e in elements:
-                used[img[e]] = False
+            for w in img[start:stop]:
+                used[w] = 0
 
-    def extend(level) -> bool:
-        """Derive and check the level once its branch element is mapped;
-        on failure no image of the level stays in use."""
-        _, derivations, elements, columns, checks = level
-        for d, (out, d_table, args) in enumerate(derivations):
-            idx = 0
-            for a in args:
-                idx = idx * kd + img[a]
-            w = d_table[idx]
-            if used[w] or w not in allowed[out]:
-                release(elements[:len(elements) - len(derivations) + d])
+    def check(level) -> bool:
+        """Whether every checked cell of the level commutes under img."""
+        _, start, end, _, _, flat_checks, run_checks = level
+        for cols, places, outs, table in flat_checks:
+            index = look(cols[0]) if len(cols) == 1 else weighted_sum(
+                [look(c) for c in cols], places, PACK_LIMIT, len(outs))
+            if index.translate(table) != look(outs):
                 return False
-            img[out] = w
-            used[w] = injective
-        image = as_row(img, n)
-        mapped = [gather(image, column) for column in columns]
-        for d_rows, runs, outs in checks:
-            expected = gather(image, outs)
-            for args, new_only, lo, hi in runs:
-                r = 0
-                for a in args:
-                    r = r * kd + img[a]
-                if gather(d_rows[r], mapped[new_only]) != expected[lo:hi]:
-                    release(elements)
-                    return False
+        if run_checks:
+            mapped = (img[:end], img[start:end])
+            for d_rows, runs, outs in run_checks:
+                expected = look(outs)
+                for prefix, new_only, lo, hi in runs:
+                    r = 0
+                    for p in prefix:
+                        r = r * kd + img[p]
+                    if gather(d_rows[r], mapped[new_only]) != expected[lo:hi]:
+                        return False
         return True
 
-    for i, v in fixed.items():
+    def derive(level) -> bool:
+        """Derive and check the level once the images before its first
+        derivation are set; on failure no image of the level stays in use."""
+        _, start, end, _, derivations, _, _ = level
+        out = end - len(derivations)
+        for slot, _, table, _, args in derivations:
+            if args is None:  # a unary step
+                idx = img[start + slot]
+            else:
+                idx = 0
+                for a in args:
+                    idx = idx * kd + img[a]
+            w = table[idx]
+            if used[w] or allowed and w not in allowed[out]:
+                release(start, out)
+                return False
+            img[out] = w
+            used[w] = mark
+            out += 1
+        if check(level):
+            return True
+        release(start, end)
+        return False
+
+    def enter(level, cands) -> tuple[bytes, bytes]:
+        """A flat level's images for every candidate of its branch
+        element, slot by slot, each slot a byte per candidate, joined;
+        and a byte per candidate, nonzero if a derived image is denied."""
+        _, start, _, _, derivations, _, _ = level
+        n = len(cands)
+        slots = [bytes(cands)]
+        for slot, scalars, table, place, args in derivations:
+            if args is None:  # a unary step
+                slots.append(slots[slot].translate(table))
+                continue
+            base = 0
+            for p, w in scalars:
+                base += w * img[p]
+            if type(slot) is int:  # the table's row at the scalars
+                slots.append(slots[slot].translate(
+                    as_row(table[base:base + place * kd:place], kd)))
+            else:
+                slots.append(weighted_sum([slots[s] for s in slot] + [b"\1" * n],
+                                          place + [base], PACK_LIMIT, n).translate(table))
+        bad = 0
+        for s in range(1, len(slots)) if allowed else ():
+            a = allowed[start + s]
+            if len(a) < kd:
+                if id(a) not in denied:
+                    denied[id(a)] = as_row([v not in a for v in range(kd)], kd)
+                bad |= int.from_bytes(slots[s].translate(denied[id(a)]), "big")
+        return b"".join(slots), bad.to_bytes(n, "big")
+
+    def choose(level, entered, t: int) -> bool:
+        """Take candidate t's images of a flat level, if they pass."""
+        _, start, end, _, _, _, _ = level
+        images, bad = entered
+        if bad[t]:
+            return False
+        row = images[t::len(bad)]
+        if injective and (len(set(row)) < end - start or 1 in row.translate(used)):
+            return False
+        img[start:end] = row
+        if not check(level):
+            return False
+        if injective:
+            for w in row:
+                used[w] = 1
+        return True
+
+    for p, v in enumerate(fixed.values()):
         if used[v]:
             return []
-        img[i] = v
-        used[v] = injective
-    if not extend(levels[0]) or any(img[c] != v for c, v in ground):
+        img[p] = v
+        used[v] = mark
+    if not derive(levels[0]) or any(img[p] != v for p, v in ground):
         return []
+    # the images in carrier order; itemgetter of one index gives a bare value
+    in_carrier_order = itemgetter(*position) if ks > 1 else lambda row: (row[0],)
     results: list[tuple[int, ...]] = []
     nodes = 0
     # depth-first over the levels with an explicit stack: tried[j] counts
-    # the candidates of level j's branch element passed over
+    # the candidates of level j's branch element passed over, and
+    # entered[j] holds a flat level's images from its last entry
     tried = [0] * len(levels)
+    entered: list = [None] * len(levels)
     depth = 1
     while True:
         if depth == len(levels):
-            results.append(tuple(img))
+            results.append(in_carrier_order(img))
             if stop_after is not None and len(results) >= stop_after:
                 break
         else:
             level = levels[depth]
-            g = level[0]
+            g, start, _, flat, _, _, _ = level
             cands = candidates[g]
             t, ok = tried[depth], False
+            if flat and not t:
+                entered[depth] = enter(level, cands)
             while not ok and t < len(cands):
                 v = cands[t]
                 t += 1
@@ -291,9 +452,12 @@ def _search_homomorphisms(
                 if nodes > node_budget:
                     what = "isomorphism" if injective else "homomorphism"
                     raise BudgetExceeded(f"{what} search node budget exceeded")
-                img[g] = v
-                used[v] = injective
-                ok = extend(level)
+                if flat:
+                    ok = choose(level, entered[depth], t - 1)
+                else:
+                    img[start] = v
+                    used[v] = mark
+                    ok = derive(level)
             tried[depth] = t
             if ok:
                 depth += 1
@@ -303,7 +467,8 @@ def _search_homomorphisms(
         depth -= 1
         if depth == 0:
             break
-        release(levels[depth][2])
+        _, start, end, _, _, _, _ = levels[depth]
+        release(start, end)
     return results
 
 

@@ -12,9 +12,10 @@ import pytest
 
 import ualg
 from ualg import generation
-from ualg.catalog import cyclic_group, vector_space_gf
+from ualg.catalog import boolean_2, cyclic_group, vector_space_gf
 from ualg.cli import main
 from ualg.fileformat import parse_algebra_file, serialize_algebra
+from ualg.products import direct_product
 
 from test_kernel_oracles import oracle_close
 
@@ -519,6 +520,20 @@ def test_homs_count_long_cycle(capsys, tmp_path):
     assert (code, out, err) == (0, "3\n", "")
 
 
+def test_homs_count_between_cycles(capsys, tmp_path):
+    # Cn -> Cm has m homomorphisms when m divides n, else none: each
+    # level derives all of a cycle but the cell that wraps around to its
+    # first element, and only that cell rules out m not dividing n
+    path = tmp_path / "cycles.alg"
+    sizes = (1, 2, 3, 4, 5, 6, 7, 12, 30, 257, 300)
+    path.write_text("\n".join(cycle_algebra(f"C{n}", n) for n in sizes))
+    for n in sizes:
+        for m in sizes[:8]:
+            expected = m if n % m == 0 else 0
+            code, out, _ = run(capsys, "homs", str(path), "--algebras", f"C{n},C{m}", "--count")
+            assert (code, out) == (0 if expected else 1, f"{expected}\n"), (n, m)
+
+
 def test_readme_cli_examples_run(capsys, data_dir):
     # every `ualg` line of the README's CLI block must still parse and run
     readme = (data_dir.parent / "README.md").read_text(encoding="utf-8")
@@ -528,6 +543,36 @@ def test_readme_cli_examples_run(capsys, data_dir):
     for line in lines:
         code, _, err = run(capsys, *shlex.split(line)[1:])
         assert code in (0, 1), (line, err)
+
+
+def test_search_jobs_pinned_budgets_and_bytes(capsys, tmp_path):
+    # the smallest --budget at which each search finishes, and the sha256
+    # of its --json stdout, as the search printed them before its levels
+    # ran as flat programs; one node less is refused
+    powers = [direct_product([boolean_2()] * n, name=f"B{n}").product for n in (3, 4, 6)]
+    z3z20 = direct_product([cyclic_group(3), cyclic_group(20)], name="P").product
+    path = tmp_path / "search.alg"
+    path.write_text(cycle_algebra("C30", 30) + cycle_algebra("C3", 3) + "".join(
+        serialize_algebra(a) for a in (*powers, cyclic_group(24), cyclic_group(36),
+                                       cyclic_group(60), z3z20)))
+    cases = [
+        (("homs", "--algebras", "C30,C3"), 3, "homomorphism",
+         "4d30e80deb4c4d366581294e6203123dc576b95a838b4ba1907f61497bf5aeab"),
+        (("homs", "--algebras", "B4,B3", "--count"), 288, "homomorphism",
+         "fc7befe171af3d553b21d8c1ff5b9401d94989b810f61fc9650e67cad966fa40"),
+        (("homs", "--algebras", "Z24,Z36", "--count"), 36, "homomorphism",
+         "6f236426bf110934fe982a336578a0c4943ecfeec8affec6ad2a4a7db1db3a59"),
+        (("retracts", "--algebra", "B6", "--image", "p0,p63"), 30, "homomorphism",
+         "d8adf8f41fb0616cdc47f622b96ee8f638f453ea9fa16af866253829bc965986"),
+        (("iso", "--algebras", "P,Z60"), 3, "isomorphism",
+         "524b2187d20044251c165ba379c85aa95d0f2c8fd1f4d4e4f09674ed491375f4"),
+    ]
+    for (command, *rest), budget, what, digest in cases:
+        argv = (command, str(path), *rest)
+        code, out, _ = run(capsys, "--budget", str(budget), "--json", *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), argv
+        code, out, err = run(capsys, "--budget", str(budget - 1), "--json", *argv)
+        assert_one_line_input_error(code, out, err, f"{what} search node budget exceeded")
 
 
 def test_retracts_honours_budget(capsys):

@@ -75,6 +75,22 @@ def test_error_line_numbers():
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "line, column, token",
+    [
+        ("elements x1b 1b", 14, "1b"),  # "1b" also ends the earlier "x1b", at column 11
+        ("  elements\ta　 b-c", 15, "b-c"),
+        ("elements a é", 12, "é"),  # a letter, but not one IDENT_RE takes
+        ("elements ab b_ _a", 16, "_a"),
+    ],
+)
+def test_bad_element_token_column(line, column, token):
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file(f"algebra A\n{line}\nend\n")
+    assert (exc.value.line, exc.value.column) == (2, column)
+    assert exc.value.message == f"bad element token: {token!r}"
+
+
 def test_serialize_round_trip_fixed():
     text = "algebra B\nelements b1 b2\nop zero/0 = b1\nop and/2 = b1 b1 b1 b2\nend\n"
     algs = parse_algebra_file(text)

@@ -102,9 +102,10 @@ def oracle_parse_algebra_file(text):
             if name is None:
                 fail(lineno, col, "`elements` outside an algebra block")
             elements = tokens[1:]
-            for e in elements:
+            starts = [m.start() for m in re.finditer(r"\S+", line)]
+            for e, at in zip(elements, starts[1:]):
                 if not IDENT_RE.match(e):
-                    fail(lineno, line.index(e) + 1, f"bad element token: {e!r}")
+                    fail(lineno, at + 1, f"bad element token: {e!r}")
         elif head == "op":
             if name is None:
                 fail(lineno, col, "`op` outside an algebra block")

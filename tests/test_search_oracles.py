@@ -14,7 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from ualg import (
     BudgetExceeded,
+    FiniteAlgebra,
     Morphism,
+    Signature,
+    Subuniverse,
     build_truncated,
     check_homomorphism,
     check_isomorphism,
@@ -579,3 +582,79 @@ def test_search_matches_propagation_at_the_packing_limit():
     Z = cyclic_group(300)
     (first,) = assert_search_matches_propagation(Z, Z, [range(300)] * 300, stop_after=1)
     assert first == (0,) * 300
+
+
+def assert_runs_match_oracle(src, dst, rng):
+    """Every kind of run, each against both oracles at its smallest
+    budget: plain and injective; with candidates cut to a random subset
+    of the target; and with a random element fixed as well."""
+    n, m = len(src.carrier), len(dst.carrier)
+    every = [range(m)] * n
+    assert_search_matches_oracle(src, dst, every)
+    assert_search_matches_oracle(src, dst, every, injective=True)
+    subset = sorted(rng.sample(range(m), rng.randint(1, m)))
+    assert_search_matches_oracle(src, dst, [subset] * n)
+    fixed = {rng.randrange(n): rng.choice(subset)}
+    assert_search_matches_oracle(src, dst, [subset] * n, fixed=fixed)
+    assert_search_matches_oracle(src, dst, [subset] * n, fixed=fixed, injective=True,
+                                 stop_after=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_search_matches_oracle_on_binary_targets_past_a_byte(seed):
+    # 17-20 elements: a binary target table has more than 256 cells, so
+    # it is checked run by run through its rows and derived per candidate
+    rng = random.Random(seed)
+    m = rng.randint(17, 20)
+    symbols = [("f0", 2)] + [(f"f{i}", rng.randint(0, 2)) for i in range(1, rng.randint(1, 3))]
+    b = make_algebra("B", [f"b{i}" for i in range(m)], symbols, random_tables(rng, m, symbols))
+    n = rng.randint(1, 3)
+    members = generate(b, rng.sample(b.carrier, 1)).subuniverse.members
+    if len(members) <= 4 and rng.random() < 0.5:  # a source that maps in
+        a = relabelled(rng, Subuniverse.of(b, members).as_algebra(), "A")
+    else:
+        a = make_algebra("A", [f"a{i}" for i in range(n)], symbols,
+                         random_tables(rng, n, symbols))
+    assert_runs_match_oracle(a, b, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_search_matches_oracle_on_cycles(seed):
+    # a level of a cycle derives all but one of its elements; the cell
+    # that wraps around is the one left to check
+    rng = random.Random(seed)
+    a = cycle("C", rng.randint(1, 40), extra=rng.randint(0, 3))
+    b = cycle("T", rng.randint(1, 6), extra=rng.randint(0, 2))
+    assert_runs_match_oracle(a, b, rng)
+    members = [a.index_of[e] for e in generate(a, rng.sample(a.carrier, 1)).subuniverse.members]
+    assert_search_matches_oracle(a, a, [members] * len(a.carrier),
+                                 fixed={i: i for i in members})
+
+
+def test_symbols_sharing_one_target_table():
+    # the target's f and g are one table object; a cell of g must still
+    # be checked where f derived an image at the same arguments
+    for seed in range(40):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 6), rng.randint(1, 4)
+        symbols = [("f", 1), ("g", 1), ("h", 2), ("k", 2)]
+        a = make_algebra("A", [f"a{i}" for i in range(n)], symbols,
+                         random_tables(rng, n, symbols))
+        u, w = [rng.randrange(m) for _ in range(m)], [rng.randrange(m) for _ in range(m * m)]
+        b = FiniteAlgebra("B", tuple(f"b{i}" for i in range(m)), Signature(tuple(symbols)),
+                          (tuple(u),) * 2 + (tuple(w),) * 2)
+        assert b.tables[0] is b.tables[1] and b.tables[2] is b.tables[3]
+        assert_search_matches_oracle(a, b, [range(m)] * n)
+    # into C5 with both symbols as its successor: f is the successor of C5
+    # and g too, but for g(c0) = c0.  f derives c1..c4 from c0..c3, and
+    # only g's cell at c0, which has the arguments of f's first
+    # derivation, rules out every rotation
+    C5 = cycle("C", 5)
+    succ = C5.table("s")
+    a = FiniteAlgebra("A", C5.carrier, Signature((("f", 1), ("g", 1))),
+                      (succ, (0,) + succ[1:]))
+    b = FiniteAlgebra("B", C5.carrier, Signature((("f", 1), ("g", 1))), (succ, succ))
+    assert _search_homomorphisms(a, b, [range(5)] * 5) == []
+    assert enumerate_homomorphisms(a, b, mode="count") == 0
