@@ -213,6 +213,19 @@ class FiniteAlgebra:
         return {e: i for i, e in enumerate(self.carrier)}
 
     @cached_property
+    def output_counts(self) -> tuple[tuple[int, ...], ...]:
+        """Per symbol, in signature order: how many cells of its table
+        hold each element, by element index."""
+        k = len(self.carrier)
+        counts = []
+        for table in self.tables:
+            hits = [0] * k
+            for v in table:
+                hits[v] += 1
+            counts.append(tuple(hits))
+        return tuple(counts)
+
+    @cached_property
     def _table_by_name(self) -> dict[str, tuple[int, ...]]:
         return {sym: tab for (sym, _), tab in zip(self.signature.symbols, self.tables)}
 

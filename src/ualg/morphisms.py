@@ -4,9 +4,8 @@ closure levels of the source, retraction search, and isomorphism testing."""
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Literal, Optional, Sequence
 
 from .core import IDENT_RE, BudgetExceeded, FiniteAlgebra, Signature, Subuniverse, UalgError
@@ -94,7 +93,8 @@ def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra,
     level's elements hold consecutive positions start..end-1.  Level 0
     is Sg(fixed elements and constants); level j adds its branch
     element, the first element in fail-first order (most table outputs
-    first; lists and counts are sorted later, so only the first map
+    first, summed over `FiniteAlgebra.output_counts`, ties in index
+    order; lists and counts are sorted later, so only the first map
     found under `stop_after` depends on it) outside the closure so far,
     at position start, and the rest of the closure with it.
 
@@ -125,9 +125,11 @@ def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra,
     prefix + (p,) for each position p of the closure, or with new_only
     of the new elements, whose outputs are outputs[lo:hi]."""
     ks, kd = len(src.carrier), len(dst.carrier)
-    hits = Counter(itertools.chain.from_iterable(src.tables))
-    # a stable sort on negated hit counts keeps equal counts in index order
-    order = iter(sorted(range(ks), key=[-hits[i] for i in range(ks)].__getitem__))
+    hits = [0] * ks
+    for counts in src.output_counts:
+        hits = list(map(add, hits, counts))
+    # a reversed sort is stable too, so equal counts keep index order
+    order = iter(sorted(range(ks), key=hits.__getitem__, reverse=True))
     # per symbol: arity, source table and rows, target table (as a
     # translation table if it fits one) and rows
     ops = []
@@ -135,30 +137,99 @@ def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra,
         table = dst.table(sym)
         if arity and kd ** arity <= PACK_LIMIT:
             table = as_row(table, PACK_LIMIT)
+        if arity > 1 and ks <= PACK_LIMIT:  # its rows and columns then slice as bytes
+            s_table = pack(s_table, ks)
         ops.append((arity, s_table, Rows(s_table, ks, ks), table, Rows(table, kd, kd)))
-    closed = list(fixed)  # the element at each position
+    closed = pack(fixed, ks)  # the element at each position
     position = [0] * ks
+    # 1 at each element that the closure has not reached yet
+    unreached = bytearray(b"\1") * max(ks, PACK_LIMIT)
     for p, e in enumerate(closed):
         position[e] = p
-    seen = set(closed)
-    packed = pack(closed, ks)
+        unreached[e] = 0
     every = pack(range(ks), ks)  # each position at itself
     derivations: list = []
 
-    def add(out: int, derivation: tuple) -> None:
+    def reach(out: int, derivation: tuple) -> None:
         position[out] = len(closed)
-        seen.add(out)
+        unreached[out] = 0
         closed.append(out)
-        packed.append(out)
         derivations.append(derivation)
+
+    def row_of(prefix: tuple) -> int:
+        r = 0
+        for p in prefix:
+            r = r * ks + closed[p]
+        return r
+
+    def meet(cell, table, outs, prefix: tuple, suffix: tuple) -> None:
+        """The run of cells prefix + (p,) + suffix, p over positions
+        0..len(outs)-1, whose outputs are outs: each new output is
+        derived at the first cell that holds it, and the other cells go
+        into the symbol's flat check, if it has one."""
+        nonlocal flat
+        if ks <= PACK_LIMIT:  # one translate; a scan only if one is new
+            marks = outs.translate(unreached)
+            new = list(itertools.compress(range(len(outs)), marks)) if 1 in marks else []
+        else:
+            new = [c for c, out in enumerate(outs) if unreached[out]]
+        derived = []
+        for c in new:
+            out = outs[c]
+            if not unreached[out]:  # derived at an earlier cell of the run
+                continue
+            derived.append(c)
+            args = prefix + (c,) + suffix
+            flat = flat and type(table) is bytes
+            if not flat:  # derived per candidate, from args
+                reach(out, (None, None, table, None, args))
+                continue
+            scalars, slots, places, place = [], [], [], 1
+            for a in reversed(args):
+                if a < start:
+                    scalars.append((a, place))
+                else:
+                    slots.append(a - start)
+                    places.append(place)
+                place *= kd
+            if len(slots) == 1:
+                reach(out, (slots[0], scalars, table, places[0], args))
+            else:
+                reach(out, (slots, scalars, table, places, args))
+        if cell:
+            cols, found = cell
+            last = every[:len(outs)]
+            if derived:
+                skip = set(derived)
+                kept = [c for c in range(len(outs)) if c not in skip]
+                last, outs = pack(kept, ks), pack(map(outs.__getitem__, kept), ks)
+            for column, a in zip(cols, prefix + (None,) + suffix):
+                column += last if a is None else every[a:a + 1] * len(last)
+            found += outs
+
+    def product_step(arity: int, s_table, s_rows: Rows, table, cell, head: int) -> None:
+        """The step of an operation of arity >= 3 at head.  For each
+        prefix over positions 0..head that holds head, one run over the
+        last argument, 0..head; then, with head as the last argument, for
+        each prefix over 0..head-1, one run over the argument before it,
+        0..head-1."""
+        for q in range(arity - 1):
+            for prefix in itertools.product(*[range(head)] * q, (head,),
+                                            *[range(head + 1)] * (arity - 2 - q)):
+                meet(cell, table, gather(s_rows[row_of(prefix)], closed[:head + 1]), prefix, ())
+        if head:  # head last: fold the last argument into the table
+            rows = Rows(s_table[closed[head]::ks], ks, ks)
+            for prefix in itertools.product(range(head), repeat=arity - 2):
+                meet(cell, table, gather(rows[row_of(prefix)], closed[:head]), prefix, (head,))
 
     ground = []
     for arity, s_table, _, table, _ in ops:
         if arity == 0:
-            if s_table[0] in seen:
+            if not unreached[s_table[0]]:
                 ground.append((position[s_table[0]], table[0]))
             else:
-                add(s_table[0], ((), (), table, (), ()))
+                reach(s_table[0], ((), (), table, (), ()))
+    walked = [(i, op) for i, op in enumerate(ops) if op[0]]
     levels, gen, start = [], None, 0
     while True:
         flat = gen is not None and kd <= PACK_LIMIT
@@ -167,66 +238,35 @@ def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra,
         cells = [([pack((), ks) for _ in range(arity)], pack((), ks))
                  if type(table) is bytes and gen is not None else None
                  for arity, _, _, table, _ in ops]
-        # semi-naive: the element at position head meets only the tuples
-        # over positions 0..head that hold it, split by its first place
+        # semi-naive: the element at position head meets only the cells
+        # over positions 0..head that hold it.  A unary symbol takes one
+        # lookup per head, a binary one a translate of the head's row over
+        # positions 0..head and one of its column over 0..head-1
         head = start
         while head < len(closed):
             e = closed[head]
-            for i, (arity, s_table, s_rows, table, _) in enumerate(ops):
-                if arity == 0:
-                    continue
-                if arity == 1:  # one step per element along a unary chain
+            for i, (arity, s_table, s_rows, table, _) in walked:
+                cell = cells[i]
+                if arity == 1:
                     out = s_table[e]
-                    if out not in seen:
-                        add(out, (head - start, (), table, 1, None))
-                    elif cells[i]:
-                        cells[i][0][0].append(head)
-                        cells[i][1].append(out)
-                    continue
-                runs = [(s_rows, itertools.product(*[range(head)] * q, (head,),
-                                                   *[range(head + 1)] * (arity - 2 - q)),
-                         head + 1, ()) for q in range(arity - 1)]
-                if head:  # head last: fold the last argument into the table
-                    runs.append((Rows(s_table[e::ks], ks, ks),
-                                 itertools.product(range(head), repeat=arity - 2), head, (head,)))
-                for rows, prefixes, count, suffix in runs:
-                    col = packed[:count]
-                    for prefix in prefixes:
-                        r = 0
-                        for p in prefix:
-                            r = r * ks + closed[p]
-                        outs = gather(rows[r], col)
-                        kept = range(count)
-                        if not seen.issuperset(outs):
-                            kept = []
-                            for c, out in enumerate(outs):
-                                if out in seen:
-                                    kept.append(c)
-                                    continue
-                                args = prefix + (c,) + suffix
-                                flat = flat and type(table) is bytes
-                                if not flat:  # derived per candidate, from args
-                                    add(out, (None, None, table, None, args))
-                                    continue
-                                scalars, slots, places, place = [], [], [], 1
-                                for a in reversed(args):
-                                    if a < start:
-                                        scalars.append((a, place))
-                                    else:
-                                        slots.append(a - start)
-                                        places.append(place)
-                                    place *= kd
-                                if len(slots) == 1:
-                                    add(out, (slots[0], scalars, table, places[0], args))
-                                else:
-                                    add(out, (slots, scalars, table, places, args))
-                        if cells[i] and kept:
-                            cols, found = cells[i]
-                            whole = len(kept) == count
-                            last = every[:count] if whole else pack(kept, ks)
-                            for column, a in zip(cols, prefix + (None,) + suffix):
-                                column += last if a is None else every[a:a + 1] * len(last)
-                            found += outs if whole else pack(map(outs.__getitem__, kept), ks)
+                    if unreached[out]:  # `reach`, inline: a chain reaches one per head
+                        position[out] = len(closed)
+                        unreached[out] = 0
+                        closed.append(out)
+                        derivations.append((head - start, (), table, 1, None))
+                    elif cell:
+                        cell[0][0].append(head)
+                        cell[1].append(out)
+                elif arity == 2:  # `meet` only a run with a flat check or a new output
+                    outs = gather(s_rows[e], closed[:head + 1])
+                    if cell or ks > PACK_LIMIT or 1 in outs.translate(unreached):
+                        meet(cell, table, outs, (head,), ())
+                    if head:
+                        outs = gather(as_row(s_table[e::ks], ks), closed[:head])
+                        if cell or ks > PACK_LIMIT or 1 in outs.translate(unreached):
+                            meet(cell, table, outs, (), (head,))
+                else:
+                    product_step(arity, s_table, s_rows, table, cell, head)
             head += 1
         end = len(closed)
         to_position = as_row(position, ks)
@@ -239,22 +279,18 @@ def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra,
             elif arity and not cell:
                 runs, outs = [], pack((), ks)
                 for prefix, low in semi_naive_runs(end, start, arity):
-                    r = 0
-                    for p in prefix:
-                        r = r * ks + closed[p]
                     lo = len(outs)
-                    outs += gather(s_rows[r], packed[low:end])
+                    outs += gather(s_rows[row_of(prefix)], closed[low:end])
                     runs.append((prefix, low > 0, lo, len(outs)))
                 run_checks.append((d_rows, runs, gather(to_position, outs)))
         levels.append((gen, start, end, flat, derivations, flat_checks, run_checks))
         if end == ks:
             return ground, levels, position
-        gen = next(i for i in order if i not in seen)
+        gen = next(i for i in order if unreached[i])
         derivations, start = [], end
         position[gen] = end
-        seen.add(gen)
+        unreached[gen] = 0
         closed.append(gen)
-        packed.append(gen)
 
 
 def _search_homomorphisms(
@@ -545,28 +581,27 @@ def _orbit_sizes(step: Sequence[int]) -> list[int]:
 
 
 def _element_profile(alg: FiniteAlgebra) -> list[tuple]:
-    """Per-element invariants computable from the tables: nullary hits,
-    per-symbol output multiplicity, and orbit sizes under each unary
-    operation and under the diagonal x -> f(x, ..., x) of each operation
-    of arity >= 2 (a unary term operation, so isomorphisms keep it)."""
+    """Per-element invariants computable from the tables, per symbol in
+    name order: its output count (`FiniteAlgebra.output_counts`), then
+    for a nullary symbol whether the element is its value, else the
+    element's orbit size under the unary operation or under the diagonal
+    x -> f(x, ..., x) of an operation of arity >= 2 (a unary term
+    operation, so isomorphisms keep it)."""
     n = len(alg.carrier)
-    profiles: list[list] = [[] for _ in range(n)]
-    for sym, arity in sorted(alg.signature.symbols):
-        table = alg.table(sym)
-        counts = [0] * n
-        for v in table:
-            counts[v] += 1
-        for i in range(n):
-            profiles[i].append(counts[i])
+    columns: list[Sequence[int]] = []
+    # names are distinct, so the sort never compares two tables
+    for (_, arity), table, counts in sorted(zip(alg.signature.symbols, alg.tables,
+                                                alg.output_counts)):
+        columns.append(counts)
         if arity == 0:
-            for i in range(n):
-                profiles[i].append(1 if table[0] == i else 0)
+            value = [0] * n
+            value[table[0]] = 1
+            columns.append(value)
         else:
             # (x, ..., x) sits at row-major index x * (1 + n + ... + n**(arity-1))
             diagonal = sum(n**p for p in range(arity))
-            for i, size in enumerate(_orbit_sizes(table[::diagonal])):
-                profiles[i].append(size)
-    return [tuple(p) for p in profiles]
+            columns.append(_orbit_sizes(table[::diagonal]))
+    return list(zip(*columns)) if columns else [()] * n
 
 
 def check_isomorphism(

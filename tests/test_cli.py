@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import resource
 import shlex
 import subprocess
@@ -18,6 +19,7 @@ from ualg.fileformat import parse_algebra_file, serialize_algebra
 from ualg.products import direct_product
 
 from test_kernel_oracles import oracle_close
+from test_search_oracles import make_algebra, relabelled
 
 BO = "data/paper_BO.alg"
 SMALL = "data/small.alg"
@@ -547,14 +549,21 @@ def test_readme_cli_examples_run(capsys, data_dir):
 
 def test_search_jobs_pinned_budgets_and_bytes(capsys, tmp_path):
     # the smallest --budget at which each search finishes, and the sha256
-    # of its --json stdout, as the search printed them before its levels
-    # ran as flat programs; one node less is refused
+    # of its --json stdout, as earlier versions of the search printed
+    # them; one node less is refused.  R is random over
+    # mul/2, u/1, c/0 and S a shuffled copy: the closure of R's constant
+    # is all of R, so the iso derives every image and branches on none
     powers = [direct_product([boolean_2()] * n, name=f"B{n}").product for n in (3, 4, 6)]
     z3z20 = direct_product([cyclic_group(3), cyclic_group(20)], name="P").product
+    rng = random.Random(23)
+    symbols = [("mul", 2), ("u", 1), ("c", 0)]
+    r = make_algebra("R", [f"r{i}" for i in range(23)], symbols,
+                     [[rng.randrange(23) for _ in range(23 ** a)] for _, a in symbols])
     path = tmp_path / "search.alg"
-    path.write_text(cycle_algebra("C30", 30) + cycle_algebra("C3", 3) + "".join(
+    path.write_text(cycle_algebra("C30", 30) + cycle_algebra("C3", 3)
+                    + cycle_algebra("C1500", 1500) + "".join(
         serialize_algebra(a) for a in (*powers, cyclic_group(24), cyclic_group(36),
-                                       cyclic_group(60), z3z20)))
+                                       cyclic_group(60), z3z20, r, relabelled(rng, r, "S"))))
     cases = [
         (("homs", "--algebras", "C30,C3"), 3, "homomorphism",
          "4d30e80deb4c4d366581294e6203123dc576b95a838b4ba1907f61497bf5aeab"),
@@ -566,13 +575,20 @@ def test_search_jobs_pinned_budgets_and_bytes(capsys, tmp_path):
          "d8adf8f41fb0616cdc47f622b96ee8f638f453ea9fa16af866253829bc965986"),
         (("iso", "--algebras", "P,Z60"), 3, "isomorphism",
          "524b2187d20044251c165ba379c85aa95d0f2c8fd1f4d4e4f09674ed491375f4"),
+        (("homs", "--algebras", "C1500,C3", "--count"), 3, "homomorphism",
+         "7dc24029c919d7d6fbcc60c9ef21d0b4285bf9a1677dbca85723f4fd1cb4dcb3"),
+        (("homs", "--algebras", "B3,B4", "--count"), 272, "homomorphism",
+         "8e8e3eb6b807b67e9197b9ca99df797bd223c18316ec8fadc5d1b23be52b17a7"),
+        (("iso", "--algebras", "R,S"), 0, "isomorphism",
+         "0b5386c85b51ddd7f3b458a6b60f9a6b4c7b009e5bc1378856dd52694b03ad2c"),
     ]
     for (command, *rest), budget, what, digest in cases:
         argv = (command, str(path), *rest)
         code, out, _ = run(capsys, "--budget", str(budget), "--json", *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), argv
-        code, out, err = run(capsys, "--budget", str(budget - 1), "--json", *argv)
-        assert_one_line_input_error(code, out, err, f"{what} search node budget exceeded")
+        if budget:
+            code, out, err = run(capsys, "--budget", str(budget - 1), "--json", *argv)
+            assert_one_line_input_error(code, out, err, f"{what} search node budget exceeded")
 
 
 def test_retracts_honours_budget(capsys):
