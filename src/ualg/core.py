@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, itemgetter
@@ -362,12 +363,14 @@ def vector_keys(width: int, k: int):
     of n vectors of `width` carrier indices below k, held back to back
     in a vector that `pack` made with k; equal vectors, and only they,
     get equal keys.  Packed vectors are written in base k, g indices to
-    a byte with k**g <= 256 (one `weighted_sum` per byte of the key),
-    and a key is those bytes read as one unsigned int of 1, 2, 4 or 8
-    bytes, or as a tuple of 8-byte ints.  So the low bits of a key vary
-    with several indices, not with one index's low bits, which Python's
-    int hash would keep as they are.  Byte order does not matter, since
-    keys are only compared with each other.  Lists give tuples."""
+    a byte with k**g <= 256 (one `weighted_sum` per byte of the key).
+    When one byte holds a whole vector (k**width <= 256) the keys are
+    those bytes, a bytes-like vector of n keys; else a key is the bytes
+    read as one unsigned int of 2, 4 or 8 bytes, or as a tuple of 8-byte
+    ints.  So the low bits of a key vary with several indices, not with
+    one index's low bits, which Python's int hash would keep as they
+    are.  Byte order does not matter, since keys are only compared with
+    each other.  Lists give tuples."""
     if k > PACK_LIMIT:
         return lambda vectors, n: list(zip(*[iter(vectors)] * width)) if width else [()] * n
     g = 1
@@ -375,7 +378,7 @@ def vector_keys(width: int, k: int):
         g += 1
     groups = [range(j, min(j + g, width)) for j in range(0, width, g)]
     size = next((s for s in (1, 2, 4) if len(groups) <= s), 8 * -(-len(groups) // 8))
-    form = {1: "B", 2: "H", 4: "I"}.get(size, "Q")
+    form = {2: "H", 4: "I"}.get(size, "Q")
 
     def keys(vectors, n: int):
         if size == width and g == 1:  # the vectors are their own base-k bytes
@@ -385,34 +388,68 @@ def vector_keys(width: int, k: int):
             for d, group in enumerate(groups):
                 digits[d::size] = weighted_sum([vectors[j::width] for j in group],
                                                [k ** i for i in range(len(group))], k ** g, n)
+        if size == 1:
+            return digits
         ints = memoryview(digits).cast(form).tolist()
         return ints if size <= 8 else list(zip(*[iter(ints)] * (size // 8)))
     return keys
 
 
+def fresh_keys(keys, known):
+    """The keys of `keys` not in `known`, each once, in the order of
+    their first appearance, added to `known`: a set, or for one-byte
+    keys (`vector_keys`) a bytearray of them, which one `translate`
+    deletes from `keys`, so that only what is left is walked."""
+    if type(known) is bytearray:
+        fresh = dict.fromkeys(keys.translate(None, known))
+        known.extend(fresh)
+        return fresh
+    if known.issuperset(keys):
+        return ()
+    fresh = [key for key in dict.fromkeys(keys) if key not in known]
+    known.update(fresh)
+    return fresh
+
+
 def run_blocks(count: int, new_from: int, arity: int, skip: bool, width: int, allowed):
-    """The runs of one closure round for one symbol (`semi_naive_runs`)
-    as (prefix, low, length) triples, in blocks of about BLOCK_CELLS
-    output cells at `width` cells a vector, each yielded with its
-    attempt count.  skip starts each run at its first argument, for a
+    """The runs of one closure round for one symbol of arity >= 1
+    (`semi_naive_runs`) as (prefix, low, length) triples, in blocks of
+    about BLOCK_CELLS output cells at `width` cells a vector, each
+    yielded with the ends of its runs, in attempts from the block's
+    start.  skip starts each run at its first argument, for a
     commutative binary symbol.  length is the run's attempt count: the
-    run in which `allowed` attempts run out is cut to them and ends the
-    last block."""
-    block, attempts = [], 0
-    for prefix, low in semi_naive_runs(count, new_from, arity):
-        if skip:
-            low = max(low, prefix[0])
-        length = min(count - low, allowed)
-        allowed -= length
-        block.append((prefix, low, length))
-        attempts += length
-        if length < count - low:
-            break
-        if attempts * width >= BLOCK_CELLS:
-            yield block, attempts
-            block, attempts = [], 0
-    if block:
-        yield block, attempts
+    run in which `allowed` attempts run out is cut to them, to none at
+    an exact run end, and ends the last block.  Runs are built a block
+    at a time, by list comprehensions over the argument prefixes;
+    `bisect` on the running sums of their lengths finds the block's end
+    and the budget's cut."""
+    per_block = -(-BLOCK_CELLS // max(width, 1))
+    shortest = 1 if skip else count - new_from  # attempts of a run, at least
+    prefixes = itertools.product(range(count), repeat=arity - 1)
+    runs: list = []
+    while True:
+        # more prefixes, so that the runs fill the block or pass the budget
+        want = max(0, -(-min(per_block, allowed + 1) // shortest) - len(runs))
+        more = list(itertools.islice(prefixes, want))
+        lows = ([0 if p and max(p) >= new_from else new_from for p in more] if arity != 2
+                else [a if a > new_from else new_from for a, in more] if skip
+                else [0 if a >= new_from else new_from for a, in more])
+        runs += zip(more, lows, [count - low for low in lows])
+        if not runs:
+            return
+        ends = list(itertools.accumulate(map(itemgetter(2), runs)))
+        end = min(bisect_left(ends, per_block) + 1, len(runs))
+        cut = bisect_right(ends, allowed)
+        if cut < end:
+            prefix, low, _ = runs[cut]
+            start = ends[cut - 1] if cut else 0
+            yield runs[:cut] + [(prefix, low, allowed - start)], ends[:cut] + [allowed]
+            return
+        yield runs[:end], ends[:end]
+        if end == len(runs) and len(more) < want:  # no prefix is left
+            return
+        allowed -= ends[end - 1]
+        del runs[:end]
 
 
 class Packing:
@@ -433,7 +470,8 @@ class Packing:
     outputs at the row-major index of its argument digits when its
     digit table has at most PACK_LIMIT cells, else its `Rows`.  tables
     holds the tables of `alg`, as bytes when k <= PACK_LIMIT, and keys
-    is the `vector_keys` function of the digits."""
+    is the `vector_keys` function of the digits, which gives one byte a
+    vector when base**length <= PACK_LIMIT."""
 
     def __init__(self, alg: FiniteAlgebra, width: int):
         k = self.k = len(alg.carrier)
@@ -567,15 +605,16 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
     argument tuples that hold a member new in the round before, and
     skips f(b, a) after f(a, b) for a commutative binary f, which
     changes no member and no order.  Members are kept back to back in
-    one vector of digits (`Packing`), and `seen` holds their
-    `vector_keys`.  A symbol's runs of last arguments are composed a
-    block at a time (`run_blocks`, `Packing.compose`); then one key
-    split and one set test, and only in a block with a new key a walk
-    over its distinct keys.  Returns (members, derivations, rounds,
-    complete): derivations[i] is (symbol, argument member indices) for
-    the application that found member i, or None for a start; rounds
-    holds the member count after the starts and after each round that
-    added members.  budget caps the composition attempts (a nullary
+    one vector of digits (`Packing`), and `known` holds their
+    `vector_keys`: a bytearray when a key is one byte
+    (base**length <= 256 in `Packing`), else a set.  A symbol's runs of
+    last arguments are composed a block at a time (`run_blocks`,
+    `Packing.compose`); then one key split, and a walk over the new
+    keys only (`fresh_keys`), each to its run by `bisect`.  Returns
+    (members, derivations, rounds, complete): derivations[i] is
+    (symbol, argument member indices) for the application that found
+    member i, or None for a start; rounds holds the member count after
+    the starts and after each round that added members.  budget caps the composition attempts (a nullary
     symbol makes none); on overrun the closure stops at the exact
     attempt the budget allows and complete is False.  Members of more
     than MAX_MEMBER_CELLS indices in all raise BudgetExceeded."""
@@ -588,7 +627,8 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
     commutative = [arity == 2 and all(t[a * k:(a + 1) * k] == t[a::k] for a in range(k))
                    for (_, arity), t in zip(alg.signature.symbols, packing.tables)]
     flat = packing.to_digits(starts)
-    seen = set(keys_of(flat, len(starts)))
+    keys = keys_of(flat, len(starts))
+    known = set(keys) if type(keys) is list else bytearray(keys)
     constants = [packing.constant(table[0]) if arity == 0 else None
                  for (_, arity), table in zip(alg.signature.symbols, alg.tables)]
     derivations: list = [None] * len(starts)
@@ -599,35 +639,25 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
         count = len(derivations)
         for i, ((sym, arity), const) in enumerate(zip(alg.signature.symbols, constants)):
             if arity == 0:
-                key, = keys_of(const, 1)
-                if key not in seen:
+                if fresh_keys(keys_of(const, 1), known):
                     if len(derivations) >= most:
                         raise _too_many_members()
-                    seen.add(key)
                     flat += const
                     derivations.append((sym, ()))
                 continue
-            for block, slots in run_blocks(count, new_from, arity, commutative[i],
-                                           ndigits, limit - attempts):
+            for block, ends in run_blocks(count, new_from, arity, commutative[i], ndigits,
+                                          limit - attempts):
                 out = packing.compose(i, arity, block, flat)
-                keys = keys_of(out, slots)
-                if not seen.issuperset(keys):
-                    runs, first = iter(block), 0  # the run of output j starts at output first
-                    prefix, low, length = next(runs)
-                    j = 0
-                    for key in dict.fromkeys(keys):  # each key at its first output, in order
-                        if key in seen:
-                            continue
-                        j = keys.index(key, j)
-                        while j >= first + length:
-                            first += length
-                            prefix, low, length = next(runs)
-                        if len(derivations) >= most:
-                            raise _too_many_members()
-                        seen.add(key)
-                        derivations.append((sym, prefix + (low + j - first,)))
-                        flat += out[j * ndigits:(j + 1) * ndigits]
-                attempts += slots
+                keys, j = keys_of(out, ends[-1]), 0
+                for key in fresh_keys(keys, known):  # each at its first output, in order
+                    j = keys.index(key, j)
+                    r = bisect_right(ends, j)  # the run of output j
+                    prefix, low, length = block[r]
+                    if len(derivations) >= most:
+                        raise _too_many_members()
+                    derivations.append((sym, prefix + (low + j - ends[r] + length,)))
+                    flat += out[j * ndigits:(j + 1) * ndigits]
+                attempts += ends[-1]
                 prefix, low, length = block[-1]
                 if length < count - low:
                     complete = False
@@ -644,21 +674,26 @@ def induced_tables(alg: FiniteAlgebra, members: Sequence[tuple[int, ...]]
     """The operation tables, over positions in `members`, of a non-empty
     list of equal-width vectors of carrier indices that is closed under
     the basic operations applied pointwise: the block pass of `close`
-    over every row-major run, and one key lookup per output."""
+    over every row-major run, and one key lookup per output, or one
+    `translate` per block through a key-to-position table when a key
+    is one byte."""
     width, count = len(members[0]), len(members)
     packing = Packing(alg, width)
     keys_of = packing.keys
     flat = packing.to_digits(members)
-    position = dict(zip(keys_of(flat, count), range(count)))
+    keys = keys_of(flat, count)
+    position = dict(zip(keys, range(count)))
+    # one-byte keys are read through one key-to-position translation table
+    where = None if type(keys) is list else bytes.maketrans(keys, bytes(range(count)))
     tables = []
     for i, ((_, arity), table) in enumerate(zip(alg.signature.symbols, alg.tables)):
         if arity == 0:
             tables.append((position[keys_of(packing.constant(table[0]), 1)[0]],))
             continue
         cells: list[int] = []
-        for block, slots in run_blocks(count, 0, arity, False, packing.length, float("inf")):
-            cells += map(position.__getitem__, keys_of(packing.compose(i, arity, block, flat),
-                                                       slots))
+        for block, ends in run_blocks(count, 0, arity, False, packing.length, float("inf")):
+            keys = keys_of(packing.compose(i, arity, block, flat), ends[-1])
+            cells += keys.translate(where) if where else map(position.__getitem__, keys)
         tables.append(tuple(cells))
     return tuple(tables)
 

@@ -158,48 +158,68 @@ PRESERVE_B = "71c0c0b917dcc37088e2da92bd84a959ba7bafa58a062737b8051c60604c7063"
 
 
 def test_closure_commands_print_pinned_bytes(capsys, tmp_path):
-    # sha256 of the --json stdout of every command that runs `core.close`,
-    # as the run-by-run closure printed it: gen at widths 1 on 4, 256 and
-    # 300 elements, clone tables of widths 4, 8 and 16, rp windows above;
-    # and, as one index per byte printed them, clone tables of Z3 (two
-    # indices to a digit, width 9 fills one cell) and of V2_2 (four
-    # elements, two to a digit), and an rp window over Z3
+    # exit code and sha256 of the --json stdout of every command that runs
+    # `core.close`, as the run-by-run closure printed them: gen at widths 1
+    # on 2, 4, 256 and 300 elements, clone tables of widths 4, 8 and 16, rp
+    # windows above; as one index per byte printed them, clone tables of Z3
+    # (two indices to a digit, width 9 fills one cell) and of V2_2 (four
+    # elements, two to a digit), and an rp window over Z3; and as the
+    # closure that planned run by run printed them, the L2 fragment of
+    # arity 3 cut at 3 attempts (the end of the first run) and at 36 (the
+    # end of a run of the second round), and the refusals of gen, rp adjoin
+    # and rp preserve, which print nothing
     z300, v2_8, z3 = tmp_path / "z300.alg", tmp_path / "v2_8.alg", tmp_path / "z3.alg"
     z300.write_text(serialize_algebra(cyclic_group(300)))
     v2_8.write_text(serialize_algebra(vector_space_gf(2, 8)))
     z3.write_text(serialize_algebra(cyclic_group(3)))
+    n2 = tmp_path / "n2.alg"  # no lattice: and/or fail or-commutativity at (d0, d1)
+    n2.write_text("algebra N2\nelements d0 d1\n"
+                  "op and/2 = d0 d0 d0 d1\nop or/2 = d0 d0 d1 d1\nend\n")
+    refused = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # no output
     cases = [
         (("gen", BO, "--algebra", "O", "--elements", "o2"),
-         "2d949eedbf3238487d0b96e4e1d5cd9472ec02dee788299ec2c78483c0da7e8f"),
+         0, "2d949eedbf3238487d0b96e4e1d5cd9472ec02dee788299ec2c78483c0da7e8f"),
+        (("gen", str(n2), "--elements", "d1"),
+         0, "6e420c46f01fdb5bdb71429ccdc71d11bfc0c8e84fe737d11dbf9ecb40a3feb1"),
+        (("gen", BO, "--algebra", "O", "--elements", "o9"), 2, refused),
         (("gen", str(z300), "--elements", "g2"),
-         "a06fb0f93492fb768f84abadbf103a1607d1bead7b789e144a8ba31723099842"),
+         0, "a06fb0f93492fb768f84abadbf103a1607d1bead7b789e144a8ba31723099842"),
         (("gen", str(v2_8), "--elements", ",".join(f"v{1 << i}" for i in range(8))),
-         "6f823b868fb8db4f879377b8dd1834e88f6e6d7f1c7b9ab0e8ab2301471c644a"),
+         0, "6f823b868fb8db4f879377b8dd1834e88f6e6d7f1c7b9ab0e8ab2301471c644a"),
         (("clone", BO, "--algebra", "B", "--arity", "2"),
-         "adfbd70d6fa4450dab86878a3dda0e6da9914dd90341875a3a0d7e5f3c8aab20"),
+         0, "adfbd70d6fa4450dab86878a3dda0e6da9914dd90341875a3a0d7e5f3c8aab20"),
         (("clone", BO, "--algebra", "B", "--arity", "3"),
-         "110d8d4d8ad4ba5ecbafd7a2d45b249e26a624add3caa8bd839348bd71f6fa40"),
+         0, "110d8d4d8ad4ba5ecbafd7a2d45b249e26a624add3caa8bd839348bd71f6fa40"),
         (("clone", SMALL, "--algebra", "L2", "--arity", "2"),
-         "3f689ab91184acbb5f91fab48dc5ea19425f04dc32d06f7104e7f4b65f502660"),
+         0, "3f689ab91184acbb5f91fab48dc5ea19425f04dc32d06f7104e7f4b65f502660"),
         (("clone", SMALL, "--algebra", "L2", "--arity", "3"),
-         "91497722f9aa23a37097efe74e2f4e0718a139cbe24f54f2d5e6189ed602e6a9"),
+         0, "91497722f9aa23a37097efe74e2f4e0718a139cbe24f54f2d5e6189ed602e6a9"),
+        (("--budget", "3", "clone", SMALL, "--algebra", "L2", "--arity", "3"),
+         0, "03a6693a658077a119beee653d79c885b26034c43a8b2b36e7da923e9a3a0ec5"),
+        (("--budget", "36", "clone", SMALL, "--algebra", "L2", "--arity", "3"),
+         0, "6f8dfd89c191e9ba1e126f40ec47441ded36d7be14252aa023e54213ce662c23"),
         (("clone", SMALL, "--algebra", "L2", "--arity", "4"),
-         "312459420380eb497fd9cb4d68af1c23feb7617c80ccf4e0bfab658806df69af"),
+         0, "312459420380eb497fd9cb4d68af1c23feb7617c80ccf4e0bfab658806df69af"),
         (("clone", str(z3), "--arity", "2"),
-         "5222e38e1f567fa3c1d3ffcdaaf2a06de9211957cf5487f46204a85764f35749"),
+         0, "5222e38e1f567fa3c1d3ffcdaaf2a06de9211957cf5487f46204a85764f35749"),
         (("clone", SMALL, "--algebra", "V2_2", "--arity", "3"),
-         "83c08cd16052a987de95c74ac461951c82e837e4bddc1c3ce9da47f991197b9c"),
+         0, "83c08cd16052a987de95c74ac461951c82e837e4bddc1c3ce9da47f991197b9c"),
         (("rp", "adjoin", str(z3), "--gen", "per g0 g1"),
-         "684578b6419fef98ca772d4724bf9a9112eaec87e95fc2e00755702ef1025035"),
+         0, "684578b6419fef98ca772d4724bf9a9112eaec87e95fc2e00755702ef1025035"),
+        (("rp", "adjoin", str(n2), "--gen", "per d0 d1"),
+         0, "a7a544a0164033bec174f6938b0be234113c8c483c75f0a3cf12fd3f4e82e29e"),
+        (("--budget", "7", "rp", "adjoin", BO, "--algebra", "B", "--gen", "per b1 b2 b2"),
+         2, refused),
+        (("rp", "preserve", str(n2), "preset:lattice", "--gen", "per d0 d1"), 2, refused),
     ]
     for gens, adjoined in RP_WINDOWS:
         args = [arg for g in gens for arg in ("--gen", g)]
-        cases.append((("rp", "adjoin", BO, "--algebra", "B", *args), adjoined))
+        cases.append((("rp", "adjoin", BO, "--algebra", "B", *args), 0, adjoined))
         cases.append((("rp", "preserve", BO, "preset:boolean-algebra", "--algebra", "B", *args),
-                      PRESERVE_B))
-    for argv, digest in cases:
+                      0, PRESERVE_B))
+    for argv, expected_code, digest in cases:
         code, out, _ = run(capsys, "--json", *argv)
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), argv
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (expected_code, digest), argv
 
 
 def test_other_commands_print_pinned_bytes(capsys, tmp_path):

@@ -1,18 +1,20 @@
 """Table kernel and semi-naive closures against slow oracles: the naive
 clone loop, the per-tuple semi-naive loops of `clone_n`, `generate` and
-`adjoin_generate`, the run-by-run `close`, the per-tuple induced tables,
-string-level product and subalgebra tables, the `pointwise_apply`
-closure of extensions, the string-level homomorphism check,
-position-by-position sums for `weighted_sum`, and argument columns
-(`apply_columns`) for `satisfies` and the subuniverse check.  Besides
-random small algebras, explicit examples have carriers on both sides of
-256 elements, the largest carrier whose index vectors are packed as
-bytes, and closures of every packing of indices into digits."""
+`adjoin_generate`, the run-by-run `close` and block plan (`run_blocks`),
+the per-tuple induced tables, string-level product and subalgebra
+tables, the `pointwise_apply` closure of extensions, the string-level
+homomorphism check, position-by-position sums for `weighted_sum`, and
+argument columns (`apply_columns`) for `satisfies` and the subuniverse
+check.  Besides random small algebras, explicit examples have carriers
+on both sides of 256 elements, the largest carrier whose index vectors
+are packed as bytes, and closures of every packing of indices into
+digits, with keys of one byte and of more."""
 
 import dataclasses
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from typing import Optional, Sequence
 
@@ -20,9 +22,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from ualg import (Equation, Morphism, UnknownElement, check_homomorphism, clone_n,
                   direct_product, is_subuniverse, satisfies, validate_algebra)
+from ualg import core
 from ualg.catalog import boolean_2, cyclic_group
 from ualg.core import (PACK_LIMIT, ClosureWitness, FiniteAlgebra, Rows, Subuniverse, apply_run,
-                       close, induced_tables, pack, semi_naive_runs, weighted_sum)
+                       close, induced_tables, pack, run_blocks, semi_naive_runs, weighted_sum)
 from ualg.generation import CloneFragment, CloneMember, GenerationResult, GenerationTrace, generate
 from ualg.morphisms import HomWitness
 from ualg.reduced_power import (_sort_key, adjoin_generate, canonicalize, coordinate_retraction,
@@ -379,6 +382,67 @@ def test_semi_naive_runs_list_the_new_tuples(count, new_from, arity):
     assert expanded == (list(new_tuples(count, new_from, arity)) if arity else [])
 
 
+def oracle_run_blocks(count, new_from, arity, skip, width, allowed):
+    """`core.run_blocks` as it was before it planned a block at a time:
+    one `semi_naive_runs` step, one `min` and one append per run, each
+    block yielded with its attempt count."""
+    block, attempts = [], 0
+    for prefix, low in semi_naive_runs(count, new_from, arity):
+        if skip:
+            low = max(low, prefix[0])
+        length = min(count - low, allowed)
+        allowed -= length
+        block.append((prefix, low, length))
+        attempts += length
+        if length < count - low:
+            break
+        if attempts * width >= core.BLOCK_CELLS:
+            yield block, attempts
+            block, attempts = [], 0
+    if block:
+        yield block, attempts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 40), st.integers(1, 3), st.booleans(),
+       st.integers(1, 9), st.one_of(st.none(), st.integers(0, 3000)), st.integers(1, 300))
+@example(5, 0, 2, False, 1, 25, 1 << 14)   # the budget ends with the last run: no cut run
+@example(5, 0, 2, False, 1, 15, 1 << 14)   # it ends with the third: the fourth is cut to 0
+@example(5, 0, 2, False, 1, 15, 15)        # ... and the block ends with the third too
+@example(40, 0, 3, False, 2, None, 7)      # blocks shorter than one run
+def test_run_blocks_match_run_by_run_blocks(count, new_from, arity, skip, width, budget,
+                                            block_cells):
+    # the same blocks, runs, attempt counts and budget cut as planning
+    # run by run, with blocks of block_cells cells so that most cases have several
+    new_from = min(new_from, count - 1)
+    skip = skip and arity == 2
+    allowed = float("inf") if budget is None else budget
+    saved, core.BLOCK_CELLS = core.BLOCK_CELLS, block_cells
+    try:
+        fast = list(run_blocks(count, new_from, arity, skip, width, allowed))
+        slow = list(oracle_run_blocks(count, new_from, arity, skip, width, allowed))
+    finally:
+        core.BLOCK_CELLS = saved
+    assert [(block, ends[-1]) for block, ends in fast] == slow
+    for block, ends in fast:
+        assert ends == list(itertools.accumulate(length for _, _, length in block))
+
+
+def test_run_planning_stays_per_block():
+    # a ternary symbol over 2,048 starts has 2,048**2 prefixes in its
+    # first round; a budget of a few attempts stops it after the first
+    # runs, so the plan must not list the round's prefixes first
+    alg = validate_algebra("M", ["e0", "e1"], [("maj", 3, ["e0", "e0", "e0", "e1",
+                                                           "e0", "e1", "e1", "e1"])])
+    starts = list(itertools.product(range(2), repeat=11))
+    for budget in (0, 3, 5000):
+        start = time.perf_counter()
+        result = close(alg, starts, budget)
+        assert time.perf_counter() - start < 1.0, budget
+        assert result == oracle_close(alg, starts, budget)
+        assert result[0] == starts and not result[3]
+
+
 @settings(max_examples=150, deadline=None)
 @given(seeds)
 def test_clone_runs_match_tuple_loop(seed):
@@ -527,6 +591,17 @@ def closure_case(seed, k, width, columns, arities, budget):
     return alg, starts, budget
 
 
+def constant_case(k, count, budget):
+    """Starts e1..e<count> of width 1 under one binary operation that is
+    the constant e0, not a start: every output of the first round is the
+    one new member.  With k = 256 and 200 starts the round's runs have
+    200, 199, ... attempts, and its first block of 2**14 attempts ends
+    with its 115th run, at attempt 16,445."""
+    elements = [f"e{i}" for i in range(k)]
+    alg = validate_algebra(f"C{k}", elements, [("c", 2, ["e0"] * k * k)])
+    return alg, [(i,) for i in range(1, count + 1)], budget
+
+
 def random_closure_case(seed):
     # k**arity on both sides of PACK_LIMIT, and 257 takes the list path;
     # widths 1-20 reach keys of 1, 2, 4, 8, 16 and 24 bytes, with unused
@@ -561,6 +636,27 @@ def random_closure_case(seed):
 @example(closure_case(101, 3, 3, 3, [2], 96))
 @example(closure_case(25, 4, 3, 3, [2], 379))
 @example(closure_case(0, 1, 3, 1, [0, 1, 2], 1))
+# each side of one-byte keys (`fresh_keys`, base**length <= 256 in
+# `Packing`): k = 2 with a binary symbol at width 8 (two base-16 digits)
+# and 9 (three); k = 256 at width 1, the shape of `gen`; k = 4 at width
+# 4; each complete and cut
+@example(closure_case(173, 2, 8, 8, [1, 2], None))      # 64 members
+@example(closure_case(173, 2, 8, 8, [1, 2], 1072))
+@example(closure_case(185, 2, 9, 9, [1, 2], None))      # 64 members
+@example(closure_case(185, 2, 9, 9, [1, 2], 2080))
+@example(closure_case(38, 256, 1, 1, [2], None))        # 256 members
+@example(closure_case(38, 256, 1, 1, [2], 16448))
+@example(closure_case(12, 4, 4, 4, [2], None))          # 64 members
+@example(closure_case(12, 4, 4, 4, [2], 1040))
+# one new member fills a whole block; cut at 0, at 1, inside the first
+# block and at its end, and on both sides of one-byte keys
+@example(constant_case(256, 200, None))
+@example(constant_case(256, 200, 0))
+@example(constant_case(256, 200, 1))
+@example(constant_case(256, 200, 9000))
+@example(constant_case(256, 200, 16445))
+@example(constant_case(257, 200, 16445))
+@example(constant_case(257, 200, 9000))
 def test_close_matches_run_by_run_close(case):
     alg, starts, budget = case
     assert close(alg, starts, budget) == oracle_close(alg, starts, budget)
@@ -615,6 +711,12 @@ def random_induced_case(seed):
 @example(closed_case(25, 4, 3, 3, [2]))
 @example(closed_case(0, 1, 3, 1, [0, 1, 2]))
 @example((WIDE[2], [(i,) for i in range(257)]))          # 257 elements, lists
+@example(closed_case(173, 2, 8, 8, [1, 2]))              # one-byte keys, and not, as in close
+@example(closed_case(185, 2, 9, 9, [1, 2]))
+@example(closed_case(38, 256, 1, 1, [2]))                 # 256 members: every key byte
+@example(closed_case(12, 4, 4, 4, [2]))
+@example((constant_case(256, 200, None)[0], [(0,), *constant_case(256, 200, None)[1]]))
+@example((constant_case(257, 200, None)[0], [(0,), *constant_case(257, 200, None)[1]]))
 def test_induced_tables_match_tuple_loop(case):
     alg, members = case
     assert induced_tables(alg, members) == tuple_induced_tables(alg, members)

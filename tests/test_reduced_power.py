@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ualg
 from ualg import (
@@ -14,12 +16,13 @@ from ualg import (
     check_isomorphism,
     coordinate_retraction,
     direct_product,
+    find_retractions,
     preset,
     preservation_suite,
     std_embed,
 )
 from ualg.catalog import boolean_2, boolean_4, cyclic_group, lattice_2
-from ualg.core import BudgetExceeded, UalgError
+from ualg.core import BudgetExceeded, Subuniverse, UalgError, build_algebra
 from ualg.reduced_power import parse_ep_sequence
 
 from conftest import pointwise_apply
@@ -204,3 +207,48 @@ def test_product_compatibility():
     full = adjoin_generate(prod.product, [g1, g2])
     assert check_isomorphism(full.algebra, prod_of_ext.product) is not None
     assert len(ext_of_prod.members) <= len(full.members)
+
+
+def webb(k):
+    """Webb's Sheffer operation on k elements, w(x, y) = (max(x, y) + 1)
+    mod k, which alone generates every finitary operation on them (D. L.
+    Webb, PNAS 21 (1935) 252-254); for k = 2 it is NOR."""
+    w = tuple((max(x, y) + 1) % k for x in range(k) for y in range(k))
+    return build_algebra(f"W{k}", [f"a{i}" for i in range(k)], [("w", 2, w)])
+
+
+def webb_case(k, periods):
+    alg = webb(k)
+    return alg, [canonicalize(alg, [], [alg.carrier[v] for v in p]) for p in periods]
+
+
+def random_webb_case(seed):
+    # periodic generators of one period p with k**p <= 256, so that at
+    # most p distinct columns give at most 256 members
+    rng = random.Random(seed)
+    k = rng.randint(2, 4)
+    p = rng.randint(1, {2: 8, 3: 5, 4: 4}[k])
+    return webb_case(k, [[rng.randrange(k) for _ in range(p)] for _ in range(rng.randint(1, 3))])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**62 - 1).map(random_webb_case))
+@example(webb_case(2, [[0, 1]]))                     # 4 members, 2 retractions
+@example(webb_case(3, [[0, 1, 2]]))                  # 27 members, 3 retractions
+@example(webb_case(4, [[0, 1, 2, 3]]))               # 256 members, 4 retractions
+@example(webb_case(2, [[0, 1, 1, 0, 1, 0, 0, 1], [0, 0, 1, 1, 0, 1, 0, 1],
+                       [1, 1, 1, 0, 0, 0, 1, 0]]))   # 6 columns: 64 members
+def test_webb_extension_is_every_function_of_the_columns(case):
+    # under every finitary operation the extension by periodic generators
+    # is every function of their c distinct columns (g1(i), ..., gm(i)):
+    # exactly k**c members, and exactly c retractions onto the standard
+    # copy, each the evaluation at one index (a coordinate)
+    alg, gens = case
+    ext = adjoin_generate(alg, gens)
+    window = math.lcm(*(len(g.period) for g in gens))
+    columns = {tuple(g.at(i) for g in gens) for i in range(window)}
+    assert len(ext.members) == len(alg.carrier) ** len(columns)
+    maps = find_retractions(ext.algebra, Subuniverse.of(ext.algebra, ext.constants()))
+    assert len(maps) == len(columns)
+    assert {m.images for m in maps} == {coordinate_retraction(ext, i).images
+                                        for i in range(window)}
