@@ -37,6 +37,7 @@ from .catalog import (
     lattice_2,
     one_element,
     semilattice_2,
+    sheffer,
     vector_space_gf,
 )
 from .generation import (

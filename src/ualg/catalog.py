@@ -1,6 +1,6 @@
 """Ready-made algebras used throughout the tests, docs, and shipped data:
-the two- and four-element boolean algebras, small groups, lattices, and
-vector-space tables."""
+the two- and four-element boolean algebras, small groups, lattices,
+vector-space tables, and Webb's Sheffer operations."""
 
 from __future__ import annotations
 
@@ -71,6 +71,14 @@ def vector_space_gf(q: int, dim: int, name: str | None = None) -> FiniteAlgebra:
     ] + [(f"s{r}", 1, tuple(mul[r])) for r in range(q)])
     return direct_product([line] * dim, prefix="v", name=name or f"V{q}_{dim}",
                           signature=line.signature).product
+
+
+def sheffer(k: int) -> FiniteAlgebra:
+    """Webb's Sheffer operation w(x, y) = (max(x, y) + 1) mod k on
+    {a0..a{k-1}}, which alone generates every finitary operation on k
+    elements (D. L. Webb, PNAS 21 (1935) 252-254); for k = 2 it is NOR."""
+    w = tuple((max(x, y) + 1) % k for x in range(k) for y in range(k))
+    return build_algebra(f"W{k}", [f"a{i}" for i in range(k)], [("w", 2, w)])
 
 
 def one_element(signature: list[tuple[str, int]], name: str = "One") -> FiniteAlgebra:

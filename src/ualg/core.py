@@ -614,10 +614,15 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
     (members, derivations, rounds, complete): derivations[i] is
     (symbol, argument member indices) for the application that found
     member i, or None for a start; rounds holds the member count after
-    the starts and after each round that added members.  budget caps the composition attempts (a nullary
-    symbol makes none); on overrun the closure stops at the exact
-    attempt the budget allows and complete is False.  Members of more
-    than MAX_MEMBER_CELLS indices in all raise BudgetExceeded."""
+    the starts and after each round that added members.  budget caps
+    the composition attempts that the rounds make (a nullary symbol
+    makes none); on overrun the closure stops at the exact attempt the
+    budget allows and complete is False.  Once all k**width vectors are
+    members no output can be new, so no block is composed: the attempts
+    left are counted, not made, or, when the budget covers the rest of
+    the round and one more, the closure returns at once, complete.
+    Members of more than MAX_MEMBER_CELLS indices in all raise
+    BudgetExceeded."""
     width = len(starts[0]) if starts else 0
     most = MAX_MEMBER_CELLS // width if width else float("inf")
     if len(starts) > most:
@@ -634,6 +639,10 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
     derivations: list = [None] * len(starts)
     rounds = [len(starts)]
     limit = float("inf") if budget is None else budget
+    # once all k**width vectors are members no output is new, and at most
+    # `rest` attempts are left: the rest of the round and one more round
+    possible = float("inf") if power_exceeds(k, width, MAX_MEMBER_CELLS) else k ** width
+    rest = 2 * sum(possible ** arity for _, arity in alg.signature.symbols)
     attempts, new_from, complete = 0, 0, True
     while complete and new_from < len(derivations):
         count = len(derivations)
@@ -647,16 +656,21 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
                 continue
             for block, ends in run_blocks(count, new_from, arity, commutative[i], ndigits,
                                           limit - attempts):
-                out = packing.compose(i, arity, block, flat)
-                keys, j = keys_of(out, ends[-1]), 0
-                for key in fresh_keys(keys, known):  # each at its first output, in order
-                    j = keys.index(key, j)
-                    r = bisect_right(ends, j)  # the run of output j
-                    prefix, low, length = block[r]
-                    if len(derivations) >= most:
-                        raise _too_many_members()
-                    derivations.append((sym, prefix + (low + j - ends[r] + length,)))
-                    flat += out[j * ndigits:(j + 1) * ndigits]
+                if len(derivations) < possible:
+                    out = packing.compose(i, arity, block, flat)
+                    keys, j = keys_of(out, ends[-1]), 0
+                    for key in fresh_keys(keys, known):  # each at its first output, in order
+                        j = keys.index(key, j)
+                        r = bisect_right(ends, j)  # the run of output j
+                        prefix, low, length = block[r]
+                        if len(derivations) >= most:
+                            raise _too_many_members()
+                        derivations.append((sym, prefix + (low + j - ends[r] + length,)))
+                        flat += out[j * ndigits:(j + 1) * ndigits]
+                elif limit - attempts >= rest:  # no attempt left can be cut
+                    if len(derivations) > count:
+                        rounds.append(len(derivations))
+                    return packing.from_digits(flat, len(derivations)), derivations, rounds, True
                 attempts += ends[-1]
                 prefix, low, length = block[-1]
                 if length < count - low:

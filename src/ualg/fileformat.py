@@ -21,6 +21,7 @@ Equation file:
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterator
 
 from .core import IDENT_RE, FiniteAlgebra, InvalidAlgebra, UalgError
@@ -153,7 +154,9 @@ def parse_algebra_file(text: str) -> list[FiniteAlgebra]:
 def serialize_algebra(alg: FiniteAlgebra) -> str:
     lines = [f"algebra {alg.name}", f"elements {' '.join(alg.carrier)}"]
     for (sym, arity), table in zip(alg.signature.symbols, alg.tables):
-        values = " ".join(map(alg.carrier.__getitem__, table))
+        # one itemgetter call a table; for one cell it gives a bare value
+        values = " ".join(itemgetter(*table)(alg.carrier) if len(table) > 1
+                          else [alg.carrier[c] for c in table])
         lines.append(f"op {sym}/{arity} = {values}")
     lines.append("end")
     return "\n".join(lines) + "\n"

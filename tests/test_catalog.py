@@ -1,5 +1,6 @@
 """The catalog pinned against the shipped data files and against a
-per-element construction of GF(q)^d."""
+per-element construction of GF(q)^d, and Webb's Sheffer operations
+against their formula and the clone they generate."""
 
 import pytest
 
@@ -10,8 +11,11 @@ from ualg.catalog import (
     cyclic_group,
     lattice_2,
     semilattice_2,
+    sheffer,
     vector_space_gf,
 )
+from ualg.fileformat import serialize_algebra
+from ualg.generation import clone_n
 from ualg.presets import finite_field
 
 from conftest import DATA
@@ -74,3 +78,21 @@ def test_vector_space_refuses_bad_name():
         vector_space_gf(2, 2, "1V")
     with pytest.raises(UalgError, match="not a supported prime power"):
         vector_space_gf(6, 1)
+
+
+def test_sheffer_is_webb_operation():
+    # for k = 2 it is NOR
+    assert serialize_algebra(sheffer(2)).splitlines() == [
+        "algebra W2", "elements a0 a1", "op w/2 = a1 a0 a0 a0", "end"]
+    for k in range(1, 6):
+        alg = sheffer(k)
+        assert alg.carrier == tuple(f"a{i}" for i in range(k))
+        assert alg.table("w") == tuple((max(x, y) + 1) % k for x in range(k) for y in range(k))
+
+
+@pytest.mark.parametrize("k, n", [(2, 1), (2, 2), (2, 3), (3, 1), (4, 1)])
+def test_sheffer_clone_is_every_operation(k, n):
+    # Webb's operation alone generates all k**(k**n) n-ary operations
+    fragment = clone_n(sheffer(k), n)
+    assert fragment.complete
+    assert len(fragment.members) == k ** (k ** n)

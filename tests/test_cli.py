@@ -13,7 +13,7 @@ import pytest
 
 import ualg
 from ualg import generation
-from ualg.catalog import boolean_2, cyclic_group, vector_space_gf
+from ualg.catalog import boolean_2, cyclic_group, sheffer, vector_space_gf
 from ualg.cli import main
 from ualg.fileformat import parse_algebra_file, serialize_algebra
 from ualg.products import direct_product
@@ -167,11 +167,18 @@ def test_closure_commands_print_pinned_bytes(capsys, tmp_path):
     # closure that planned run by run printed them, the L2 fragment of
     # arity 3 cut at 3 attempts (the end of the first run) and at 36 (the
     # end of a run of the second round), and the refusals of gen, rp adjoin
-    # and rp preserve, which print nothing
+    # and rp preserve, which print nothing; and as the closure that composed
+    # after its members held every vector printed them, the B fragment of
+    # arity 3 cut at 32,191 attempts, at 32,192 (the 256th member) and at
+    # 66,047 of 66,048, and the fragments and rp extensions of Webb's
+    # Sheffer operations on 2 and 3 elements, which hold every vector
     z300, v2_8, z3 = tmp_path / "z300.alg", tmp_path / "v2_8.alg", tmp_path / "z3.alg"
     z300.write_text(serialize_algebra(cyclic_group(300)))
     v2_8.write_text(serialize_algebra(vector_space_gf(2, 8)))
     z3.write_text(serialize_algebra(cyclic_group(3)))
+    w2, w3 = tmp_path / "w2.alg", tmp_path / "w3.alg"
+    w2.write_text(serialize_algebra(sheffer(2)))
+    w3.write_text(serialize_algebra(sheffer(3)))
     n2 = tmp_path / "n2.alg"  # no lattice: and/or fail or-commutativity at (d0, d1)
     n2.write_text("algebra N2\nelements d0 d1\n"
                   "op and/2 = d0 d0 d0 d1\nop or/2 = d0 d0 d1 d1\nend\n")
@@ -211,6 +218,24 @@ def test_closure_commands_print_pinned_bytes(capsys, tmp_path):
         (("--budget", "7", "rp", "adjoin", BO, "--algebra", "B", "--gen", "per b1 b2 b2"),
          2, refused),
         (("rp", "preserve", str(n2), "preset:lattice", "--gen", "per d0 d1"), 2, refused),
+        (("--budget", "32191", "clone", BO, "--algebra", "B", "--arity", "3"),
+         0, "413cc7db111a47a8f608acd96835eb696a077c9894d11d71070b506febd51def"),
+        (("--budget", "32192", "clone", BO, "--algebra", "B", "--arity", "3"),
+         0, "6dc39a76c461c53207836078ff3aebc257595796b8401f2156d6a9216417cdcd"),
+        (("--budget", "66047", "clone", BO, "--algebra", "B", "--arity", "3"),
+         0, "6dc39a76c461c53207836078ff3aebc257595796b8401f2156d6a9216417cdcd"),
+        (("clone", str(w2), "--arity", "2"),
+         0, "b34e3ca85c90d846fd2f5ce4cb446874856579c3bc4eb6b01bb4ea313c0df87d"),
+        (("clone", str(w2), "--arity", "3"),
+         0, "a2dfcc54a16acb8e6f30b7c7aa242e8be796aa07ab3c7666b9d92423b5630f2f"),
+        (("--budget", "100", "clone", str(w2), "--arity", "3"),
+         0, "816fe1cf08a3249cebb87bb1d77d22db1afe113904c12a6328ac17c40d849f98"),
+        (("clone", str(w3), "--arity", "1"),
+         0, "e8f924c3eded26a42480d1687b78d962f5581c231b79035b983f70014ed2efa5"),
+        (("rp", "adjoin", str(w2), "--gen", "per a0 a1", "--gen", "per a0 a0 a1 a1"),
+         0, "bd090e6ff9ca7f52ae065f935f764192cc107bae72efd307d12468b7277fcc44"),
+        (("rp", "adjoin", str(w3), "--gen", "per a0 a1 a2"),
+         0, "a89abf2f5ba8e2e60dc36e2c2deb47cad685ea90d84ce0be0f0dbf8ed17abe9c"),
     ]
     for gens, adjoined in RP_WINDOWS:
         args = [arg for g in gens for arg in ("--gen", g)]
@@ -269,14 +294,21 @@ def test_other_commands_print_pinned_bytes(capsys, tmp_path):
 
 def test_clone_budget_cuts_match_run_by_run_close(capsys, monkeypatch):
     # every budget up to the 342 attempts of the complete L2 fragment of
-    # arity 3, against the closure that composes and tests one run at a time
-    args = ("--json", "clone", SMALL, "--algebra", "L2", "--arity", "3")
-    for budget in range(343):
-        code, out, _ = run(capsys, "--budget", str(budget), *args)
-        with monkeypatch.context() as patch:
-            patch.setattr(generation, "close", oracle_close)
-            assert run(capsys, "--budget", str(budget), *args) == (code, out, "")
-        assert code == 0 and json.loads(out)["complete"] == (budget == 342)
+    # arity 3, and budgets on both sides of the 32,192nd attempt, which
+    # adds the last of the B fragment's 256 tables, and of its 66,048
+    # attempts in all, against the closure that composes and tests one
+    # run at a time
+    cases = [(SMALL, "L2", range(343), 342),
+             (BO, "B", (0, 1, 32191, 32192, 32193, 50000, 66047, 66048, 66049, 10_000_000),
+              66048)]
+    for path, name, budgets, total in cases:
+        args = ("--json", "clone", path, "--algebra", name, "--arity", "3")
+        for budget in budgets:
+            code, out, _ = run(capsys, "--budget", str(budget), *args)
+            with monkeypatch.context() as patch:
+                patch.setattr(generation, "close", oracle_close)
+                assert run(capsys, "--budget", str(budget), *args) == (code, out, "")
+            assert code == 0 and json.loads(out)["complete"] == (budget >= total)
 
 
 def test_homs_and_counts(capsys):

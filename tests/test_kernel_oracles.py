@@ -14,6 +14,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 from typing import Optional, Sequence
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from ualg import (Equation, Morphism, UnknownElement, check_homomorphism, clone_n,
                   direct_product, is_subuniverse, satisfies, validate_algebra)
 from ualg import core
-from ualg.catalog import boolean_2, cyclic_group
+from ualg.catalog import boolean_2, cyclic_group, sheffer, vector_space_gf
 from ualg.core import (PACK_LIMIT, ClosureWitness, FiniteAlgebra, Rows, Subuniverse, apply_run,
                        close, induced_tables, pack, run_blocks, semi_naive_runs, weighted_sum)
 from ualg.generation import CloneFragment, CloneMember, GenerationResult, GenerationTrace, generate
@@ -602,6 +603,14 @@ def constant_case(k, count, budget):
     return alg, [(i,) for i in range(1, count + 1)], budget
 
 
+# closures that reach all k**width vectors: the projections of
+# clone_n(B, 3), 256 members after 32,192 of 66,048 attempts, and `gen`
+# on GF(2)^8 from its 8 atoms, 256 members after 11,188 of 33,664
+CLONE_B3 = (boolean_2(), [tuple(c) for c in arg_columns(2, 3)])
+V2_8 = vector_space_gf(2, 8)
+V2_8_ATOMS = sorted((V2_8.index_of[f"v{1 << i}"],) for i in range(8))
+
+
 def random_closure_case(seed):
     # k**arity on both sides of PACK_LIMIT, and 257 takes the list path;
     # widths 1-20 reach keys of 1, 2, 4, 8, 16 and 24 bytes, with unused
@@ -657,9 +666,44 @@ def random_closure_case(seed):
 @example(constant_case(256, 200, 16445))
 @example(constant_case(257, 200, 16445))
 @example(constant_case(257, 200, 9000))
+# saturating closures, complete and cut after the last member: the
+# attempts left are counted, not composed
+@example((*CLONE_B3, None))
+@example((*CLONE_B3, 32192))                             # the attempt that adds the 256th
+@example((*CLONE_B3, 66047))
+@example((*CLONE_B3, 66048))
+@example((V2_8, V2_8_ATOMS, None))
+@example((V2_8, V2_8_ATOMS, 11188))
+@example((V2_8, V2_8_ATOMS, 20000))
+@example((V2_8, V2_8_ATOMS, 33663))
 def test_close_matches_run_by_run_close(case):
     alg, starts, budget = case
     assert close(alg, starts, budget) == oracle_close(alg, starts, budget)
+
+
+def test_saturated_closure_composes_no_more(monkeypatch):
+    # once all k**width vectors are members no output can be new, so
+    # `close` composes no further block; `induced_tables` still composes
+    # every run of a closed member list
+    compose, calls = core.Packing.compose, []
+
+    def guarded(self, i, arity, block, flat):
+        if sys._getframe(1).f_code is core.close.__code__:
+            assert len(flat) // self.length < self.k ** self.width
+            calls.append(i)
+        return compose(self, i, arity, block, flat)
+
+    monkeypatch.setattr(core.Packing, "compose", guarded)
+    w2 = sheffer(2)
+    b8 = direct_product([boolean_2()] * 8).product
+    assert len(clone_n(boolean_2(), 3).members) == 256
+    assert len(clone_n(w2, 3).members) == 256
+    assert len(generate(V2_8, [V2_8.carrier[i] for i, in V2_8_ATOMS]).members) == 256
+    assert len(generate(b8, [b8.carrier[1 << i] for i in range(8)]).members) == 256  # atoms
+    # windows of 4 with the 4 distinct columns (a0, a0), (a1, a0), (a0, a1), (a1, a1)
+    gens = [canonicalize(w2, [], ["a0", "a1"]), canonicalize(w2, [], ["a0", "a0", "a1", "a1"])]
+    assert len(adjoin_generate(w2, gens).members) == 16
+    assert calls
 
 
 def tuple_induced_tables(alg, members):
