@@ -82,6 +82,15 @@ def _pick(algs: list[FiniteAlgebra], name: Optional[str], path: str) -> FiniteAl
     raise CliError(f"no algebra named {name} in {path}")
 
 
+def _pick_pair(args) -> tuple[FiniteAlgebra, FiniteAlgebra]:
+    """The two algebras that `--algebras A,B` names in args.file."""
+    algs = _load_algebras(args.file)
+    names = args.algebras.split(",")
+    if len(names) != 2:
+        raise CliError("--algebras expects two comma-separated names")
+    return _pick(algs, names[0], args.file), _pick(algs, names[1], args.file)
+
+
 def _load_equations(path: str, name: str):
     if path.startswith("preset:"):
         try:
@@ -225,12 +234,7 @@ def cmd_clone(args) -> int:
 
 
 def cmd_homs(args) -> int:
-    algs = _load_algebras(args.file)
-    names = args.algebras.split(",")
-    if len(names) != 2:
-        raise CliError("--algebras expects two comma-separated names")
-    src = _pick(algs, names[0], args.file)
-    dst = _pick(algs, names[1], args.file)
+    src, dst = _pick_pair(args)
     if args.count:
         n = enumerate_homomorphisms(src, dst, mode="count", node_budget=args.budget)
         _emit(args, {"count": n}, lambda: str(n))
@@ -242,12 +246,7 @@ def cmd_homs(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    algs = _load_algebras(args.file)
-    names = args.algebras.split(",")
-    if len(names) != 2:
-        raise CliError("--algebras expects two comma-separated names")
-    a = _pick(algs, names[0], args.file)
-    b = _pick(algs, names[1], args.file)
+    a, b = _pick_pair(args)
     iso = check_isomorphism(a, b, node_budget=args.budget)
     if iso is None:
         _emit(args, {"isomorphic": False, "map": None}, lambda: "not isomorphic")

@@ -104,23 +104,22 @@ def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra,
     element, or None for level 0; start; end; flat; derivations; flat
     checks; run checks).  Derivation d gives the image of the element at
     position end - len(derivations) + d through the target table of one
-    symbol, as (slot, scalars, table, place, args) when one argument is
-    from this level, else (slots, scalars, table, places, args).  Slot s
-    is position start + s; scalars lists (position, place) for the
-    arguments from earlier levels; a place is the place value of an
-    argument in the row-major table index; args are the argument
-    positions, None for a unary symbol.  The table is a translation
-    table when it has at most PACK_LIMIT cells, and a level is flat when
-    it branches and every table it derives through is one.  A level
-    derived per candidate reads only the tables and args.
+    symbol.  A level is flat when it branches and each derivation has
+    exactly one argument from the level and a translation table (at most
+    PACK_LIMIT cells) as its table; each is then (slot, scalars, table,
+    place, args), slot s being the argument at position start + s and
+    place its place value in the row-major table index, scalars listing
+    (position, place) for the arguments from earlier levels, and args
+    the argument positions, None for a unary symbol.  A level derived per
+    candidate reads only the tables and args, and a unary step's slot.
 
     The checks cover each table cell that holds a new element once.  On
-    a branching level, a symbol whose target table is a translation
-    table has one flat check (argument columns, their places, output
-    column, the table), positions packed with the source size, of the
-    cells as the closure walk meets them, without those whose outputs
-    the level's derivations fixed.  Every other symbol, and every symbol
-    on level 0, has one run check (target rows, runs, outputs of all
+    every level, a symbol whose target table is a translation table has
+    one flat check (argument columns, their places, output column, the
+    table), positions packed with the source size, of the cells as the
+    closure walk meets them: every cell of a binary or wider symbol, and
+    of a unary one those whose outputs no derivation fixed.  Every other
+    symbol has one run check (target rows, runs, outputs of all
     runs).  A run (prefix, new_only, lo, hi) stands for the cells
     prefix + (p,) for each position p of the closure, or with new_only
     of the new elements, whose outputs are outputs[lo:hi]."""
@@ -173,38 +172,27 @@ def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra,
             new = list(itertools.compress(range(len(outs)), marks)) if 1 in marks else []
         else:
             new = [c for c, out in enumerate(outs) if unreached[out]]
-        derived = []
         for c in new:
             out = outs[c]
             if not unreached[out]:  # derived at an earlier cell of the run
                 continue
-            derived.append(c)
             args = prefix + (c,) + suffix
-            flat = flat and type(table) is bytes
+            flat = flat and type(table) is bytes and sum(a >= start for a in args) == 1
             if not flat:  # derived per candidate, from args
                 reach(out, (None, None, table, None, args))
                 continue
-            scalars, slots, places, place = [], [], [], 1
+            scalars, place = [], 1
             for a in reversed(args):
                 if a < start:
                     scalars.append((a, place))
                 else:
-                    slots.append(a - start)
-                    places.append(place)
+                    slot, at = a - start, place
                 place *= kd
-            if len(slots) == 1:
-                reach(out, (slots[0], scalars, table, places[0], args))
-            else:
-                reach(out, (slots, scalars, table, places, args))
+            reach(out, (slot, scalars, table, at, args))
         if cell:
             cols, found = cell
-            last = every[:len(outs)]
-            if derived:
-                skip = set(derived)
-                kept = [c for c in range(len(outs)) if c not in skip]
-                last, outs = pack(kept, ks), pack(map(outs.__getitem__, kept), ks)
             for column, a in zip(cols, prefix + (None,) + suffix):
-                column += last if a is None else every[a:a + 1] * len(last)
+                column += every[:len(outs)] if a is None else every[a:a + 1] * len(outs)
             found += outs
 
     def product_step(arity: int, s_table, s_rows: Rows, table, cell, head: int) -> None:
@@ -233,11 +221,9 @@ def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra,
     levels, gen, start = [], None, 0
     while True:
         flat = gen is not None and kd <= PACK_LIMIT
-        # per flat-checked symbol: its argument columns and output column;
-        # level 0 is checked once, so whole runs are cheaper there
+        # per flat-checked symbol: its argument columns and output column
         cells = [([pack((), ks) for _ in range(arity)], pack((), ks))
-                 if type(table) is bytes and gen is not None else None
-                 for arity, _, _, table, _ in ops]
+                 if type(table) is bytes else None for arity, _, _, table, _ in ops]
         # semi-naive: the element at position head meets only the cells
         # over positions 0..head that hold it.  A unary symbol takes one
         # lookup per head, a binary one a translate of the head's row over
@@ -313,19 +299,21 @@ def _search_homomorphisms(
     its element's candidates or, with `injective`, is in use or repeats
     one of the level, or if a checked cell of the level does not commute.
 
-    A flat level (`_schedule`) derives the images of its new elements
-    for every candidate of g at once, when the search enters it: each
-    derivation is one translate of a byte per candidate.  Each candidate
-    then takes its images, one slice of those, and checks the level
-    with one compare per flat-checked symbol: the argument columns read
-    through the images, weighted into table indices, translated through
-    the target table, against the output column read the same way.
-    Other levels derive per candidate, one recorded application each,
-    and symbols whose target tables exceed a translation table are
-    checked one run of last arguments at a time through the target's
-    rows.  The closure levels are those that propagating forced cells
-    would visit, so the search branches on the same elements with the
-    same verdicts.  Returns image index tuples, unsorted, in the
+    A flat level (`_schedule`: each derivation has one argument from
+    the level and a translation table) derives the images of its new
+    elements for every candidate of g at once, when the search enters
+    it: each derivation is one translate of a byte per candidate through
+    the table's row at its other arguments.  Each candidate then takes
+    its images, one slice of those.  Other levels derive per candidate,
+    one recorded application each.  Every level, level 0 included, is
+    checked with one compare per flat-checked symbol: the argument
+    columns read through the images, weighted into table indices,
+    translated through the target table, against the output column read
+    the same way.  Symbols whose target tables exceed a translation
+    table are checked one run of last arguments at a time through the
+    target's rows.  The closure levels are those that propagating forced
+    cells would visit, so the search branches on the same elements with
+    the same verdicts.  Returns image index tuples, unsorted, in the
     depth-first order of the same search without derivations."""
     _require_shared_signature(src, dst)
     ks, kd = len(src.carrier), len(dst.carrier)
@@ -418,12 +406,8 @@ def _search_homomorphisms(
             base = 0
             for p, w in scalars:
                 base += w * img[p]
-            if type(slot) is int:  # the table's row at the scalars
-                slots.append(slots[slot].translate(
-                    as_row(table[base:base + place * kd:place], kd)))
-            else:
-                slots.append(weighted_sum([slots[s] for s in slot] + [b"\1" * n],
-                                          place + [base], PACK_LIMIT, n).translate(table))
+            # the table's row at the scalars, over the slot's argument
+            slots.append(slots[slot].translate(as_row(table[base:base + place * kd:place], kd)))
         bad = 0
         for s in range(1, len(slots)) if allowed else ():
             a = allowed[start + s]

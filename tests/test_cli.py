@@ -604,9 +604,12 @@ def test_search_jobs_pinned_budgets_and_bytes(capsys, tmp_path):
     # of its --json stdout, as earlier versions of the search printed
     # them; one node less is refused.  R is random over
     # mul/2, u/1, c/0 and S a shuffled copy: the closure of R's constant
-    # is all of R, so the iso derives every image and branches on none
+    # is all of R, so the iso derives every image and branches on none.
+    # Q is Z4xZ4 and T a shuffled Z16: the searches into Z16 have levels
+    # with elements derived from two elements of their own level
     powers = [direct_product([boolean_2()] * n, name=f"B{n}").product for n in (3, 4, 6)]
     z3z20 = direct_product([cyclic_group(3), cyclic_group(20)], name="P").product
+    z4z4 = direct_product([cyclic_group(4), cyclic_group(4)], name="Q").product
     rng = random.Random(23)
     symbols = [("mul", 2), ("u", 1), ("c", 0)]
     r = make_algebra("R", [f"r{i}" for i in range(23)], symbols,
@@ -615,7 +618,9 @@ def test_search_jobs_pinned_budgets_and_bytes(capsys, tmp_path):
     path.write_text(cycle_algebra("C30", 30) + cycle_algebra("C3", 3)
                     + cycle_algebra("C1500", 1500) + "".join(
         serialize_algebra(a) for a in (*powers, cyclic_group(24), cyclic_group(36),
-                                       cyclic_group(60), z3z20, r, relabelled(rng, r, "S"))))
+                                       cyclic_group(60), z3z20, r, relabelled(rng, r, "S"),
+                                       cyclic_group(8), cyclic_group(16), z4z4,
+                                       relabelled(rng, cyclic_group(16), "T"))))
     cases = [
         (("homs", "--algebras", "C30,C3"), 3, "homomorphism",
          "4d30e80deb4c4d366581294e6203123dc576b95a838b4ba1907f61497bf5aeab"),
@@ -633,6 +638,14 @@ def test_search_jobs_pinned_budgets_and_bytes(capsys, tmp_path):
          "8e8e3eb6b807b67e9197b9ca99df797bd223c18316ec8fadc5d1b23be52b17a7"),
         (("iso", "--algebras", "R,S"), 0, "isomorphism",
          "0b5386c85b51ddd7f3b458a6b60f9a6b4c7b009e5bc1378856dd52694b03ad2c"),
+        (("homs", "--algebras", "Z8,Z16", "--count"), 16, "homomorphism",
+         "f10bb511262e8d78cba930859da356cb0200391ae0c6cd253b05ffa03a67e8e7"),
+        (("homs", "--algebras", "Q,Z16", "--count"), 80, "homomorphism",
+         "01cab192aa389aece6028a1d0a569bf80318c2c682c51bdec02ebeccdc34a7be"),
+        (("homs", "--algebras", "Z16,Z16"), 16, "homomorphism",
+         "d9ccd2eb036b2c512af0dcb085558594860d1fc30b308173f8edd17070faf888"),
+        (("iso", "--algebras", "Z16,T"), 1, "isomorphism",
+         "1ce2e51d3b05c97d01fdc41d88b3dc6bc251715dc0292795ca6a35062c4b02b7"),
     ]
     for (command, *rest), budget, what, digest in cases:
         argv = (command, str(path), *rest)

@@ -1,8 +1,9 @@
 """Checks on the library's source.  It holds no `assert`: `python -O`
 strips it, so a check on caller input must raise, and a re-check of a
 result the library has just built belongs in the tests.  No function
-takes a parameter that its body never reads.  And no result is kept from
-one call to the next."""
+takes a parameter that its body never reads, and no module imports a
+name that it never reads.  And no result is kept from one call to the
+next."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,26 @@ def test_no_unread_parameters():
         found += [f"{name}:{node.lineno} {getattr(node, 'name', 'lambda')}({p})"
                   for p in params
                   if p not in loaded and p not in ("self", "cls") and not p.startswith("_")]
+    assert found == []
+
+
+def test_no_unused_imports():
+    # `from __future__` imports and the package's re-exports are exempt
+    found = []
+    for name, tree in library_modules():
+        if name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{name}:{line} {n}" for n, line in imported.items() if n not in read]
     assert found == []
 
 
