@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional
@@ -460,7 +461,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _parser().parse_args(argv)
         if args.budget < 0:
             raise CliError(f"--budget must be >= 0, got {args.budget}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a write refused at the end fails here, not at exit
+        return code
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     except CliError as exc:
@@ -468,6 +471,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code
     except (UalgError, InvalidAlgebra) as exc:
         print(str(exc), file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as exc:  # stdout refused the output: a closed pipe, a full device
+        # the interpreter flushes stdout again at exit; what is still
+        # buffered then goes to the null device instead of failing again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -3,7 +3,9 @@
 Carriers are ordered tuples of opaque identifier strings.  Every operation
 is stored as a flat row-major value table of carrier *indices*, with the
 leftmost argument most significant, so two algebras are bit-comparable and
-iteration order is deterministic everywhere.
+iteration order is deterministic everywhere.  A table is bytes when the
+carrier has at most PACK_LIMIT = 256 elements, else a tuple of ints, so
+the kernels below read most tables as they are stored.
 """
 
 from __future__ import annotations
@@ -123,10 +125,12 @@ class Rows(dict):
 
 
 def gather(row, column):
-    """row[v] for each v of a column that `pack` made with the row's n."""
-    if type(row) is bytes:
-        return column.translate(row)
-    return [row[v] for v in column]
+    """row[v] for each v of a column that `pack` made with the row's n:
+    one translate of a bytes-like column, else a list.  The column's type
+    decides, since a row past PACK_LIMIT may be a slice of a bytes table."""
+    if type(column) is list:
+        return [row[v] for v in column]
+    return column.translate(row)
 
 
 def gather_blocks(rows: Rows, keys: Sequence[int], column, k: int):
@@ -153,10 +157,10 @@ def spread(vector, k: int):
 
 def weighted_sum(vectors: Sequence, weights: Sequence[int], n: int, length: int):
     """Position by position, the sum of w * v over the length-position
-    vectors v that `pack` made, with n or a smaller bound, and their
-    weights w; every sum is below n.  With no vectors every sum is 0.
-    The sums are bytes when n <= PACK_LIMIT, else a list; `gather` reads
-    either as a column."""
+    vectors v that `pack` made, or tables as `FiniteAlgebra` holds them,
+    with n or a smaller bound, and their weights w; every sum is below n.
+    With no vectors every sum is 0.  The sums are bytes when n <=
+    PACK_LIMIT, else a list; `gather` reads either as a column."""
     if n <= PACK_LIMIT:  # no byte's sum carries into the next
         total = 0
         for v, w in zip(vectors, weights):
@@ -201,13 +205,32 @@ class FiniteAlgebra:
     """An algebra: ordered carrier of urelements plus total operation tables.
 
     tables[i] is the row-major value table (carrier indices) of symbol
-    signature.symbols[i]; a nullary table has exactly one entry.
+    signature.symbols[i]; a nullary table has exactly one entry.  A table
+    is bytes when the carrier has at most PACK_LIMIT elements, else a
+    tuple of ints, whatever sequence of indices was given: bytes tables
+    are kept as they are, other sequences are converted, so equality and
+    hashing do not depend on who built the algebra.  A converted table
+    with a value outside the carrier raises InvalidAlgebra.
     """
 
     name: str
     carrier: tuple[str, ...]
     signature: Signature
-    tables: tuple[tuple[int, ...], ...]
+    tables: tuple[Sequence[int], ...]
+
+    def __post_init__(self):
+        k = len(self.carrier)
+        if k > PACK_LIMIT:
+            tables = tuple(map(tuple, self.tables))
+        else:
+            # each table object converted once: tables given as one object stay one
+            converted = {id(t): _byte_table(t, k) for t in self.tables if type(t) is not bytes}
+            tables = tuple(converted.get(id(t), t) for t in self.tables)
+            if None in tables:
+                sym, arity = self.signature.symbols[tables.index(None)]
+                raise InvalidAlgebra([f"table of {sym}/{arity} holds a value that is not "
+                                      f"an index below {k}"])
+        object.__setattr__(self, "tables", tables)
 
     @cached_property
     def index_of(self) -> dict[str, int]:
@@ -227,10 +250,10 @@ class FiniteAlgebra:
         return tuple(counts)
 
     @cached_property
-    def _table_by_name(self) -> dict[str, tuple[int, ...]]:
+    def _table_by_name(self) -> dict[str, Sequence[int]]:
         return {sym: tab for (sym, _), tab in zip(self.signature.symbols, self.tables)}
 
-    def table(self, symbol: str) -> tuple[int, ...]:
+    def table(self, symbol: str) -> Sequence[int]:
         try:
             return self._table_by_name[symbol]
         except KeyError:
@@ -250,6 +273,16 @@ class FiniteAlgebra:
         return self.carrier[self.table(symbol)[cell]]
 
 
+def _byte_table(values: Sequence[int], k: int) -> Optional[bytes]:
+    """A table of indices below k <= PACK_LIMIT as bytes, or None if a
+    value is not such an index."""
+    try:
+        table = bytes(values)
+    except (TypeError, ValueError):  # not ints, or an int outside 0..255
+        return None
+    return None if 1 in table.translate(bytes(v >= k for v in range(256))) else table
+
+
 def validate_algebra(
     name: str,
     elements: Sequence[str],
@@ -265,6 +298,14 @@ def validate_algebra(
     return build_algebra(name, elements, [
         (sym, arity, index_table(index, (values,), sym, arity, len(elements))[0])
         for sym, arity, values in operations])
+
+
+def join_table(parts: Iterable, k: int) -> Sequence[int]:
+    """A table over k elements as `FiniteAlgebra` holds it, from its cells
+    in consecutive parts, each made by `pack` with k or bytes."""
+    if k <= PACK_LIMIT:
+        return b"".join(parts)
+    return tuple(itertools.chain.from_iterable(parts))
 
 
 def power_exceeds(base: int, exponent: int, limit: int) -> bool:
@@ -289,11 +330,12 @@ def size_mismatch(k: int, arity: int, found: int) -> Optional[str]:
 
 
 def index_table(index: dict[str, int], chunks: Iterable[Sequence[str]], symbol: str,
-                arity: int, k: int) -> tuple[Union[tuple[int, ...], str], int]:
+                arity: int, k: int) -> tuple[Union[bytes, tuple[int, ...], str], int]:
     """The value table of symbol/arity over k elements, given as element
     names in consecutive chunks, mapped through index: (the table of
-    carrier indices, or the problem with it; the number of names).  The
-    problem is a size mismatch, else the first name not in index."""
+    carrier indices, as `FiniteAlgebra` holds it, or the problem with it;
+    the number of names).  The problem is a size mismatch, else the first
+    name not in index."""
     parts, found, unknown = [], 0, None
     for names in chunks:
         found += len(names)
@@ -309,11 +351,13 @@ def index_table(index: dict[str, int], chunks: Iterable[Sequence[str]], symbol: 
                 found)
     if unknown is not None:
         return f"unknown element in table for {symbol}/{arity}: {unknown}", found
+    if k <= PACK_LIMIT:  # bytearray reads a tuple of ints about twice as fast as bytes
+        return b"".join(map(bytearray, parts)), found
     return (parts[0] if len(parts) == 1 else tuple(itertools.chain.from_iterable(parts))), found
 
 
 def build_algebra(name: str, elements: Sequence[str],
-                  operations: Sequence[tuple[str, int, Union[tuple[int, ...], str]]],
+                  operations: Sequence[tuple[str, int, Union[Sequence[int], str]]],
                   idents_checked: bool = False) -> FiniteAlgebra:
     """Check the carrier and the symbols and build a FiniteAlgebra.
 
@@ -468,8 +512,8 @@ class Packing:
 
     rows[i] reads symbol i on digits: the translation table of its
     outputs at the row-major index of its argument digits when its
-    digit table has at most PACK_LIMIT cells, else its `Rows`.  tables
-    holds the tables of `alg`, as bytes when k <= PACK_LIMIT, and keys
+    digit table has at most PACK_LIMIT cells, else its `Rows`, both
+    read from the tables of `alg` as it holds them, with no copy.  keys
     is the `vector_keys` function of the digits, which gives one byte a
     vector when base**length <= PACK_LIMIT."""
 
@@ -481,12 +525,10 @@ class Packing:
             g += 1
         self.g, self.width, self.base, self.length = g, width, k ** g, -(-width // g)
         self.keys = vector_keys(self.length, self.base)
-        # each table read once as bytes, when its indices fit them
-        self.tables = tables = [bytes(t) if k <= PACK_LIMIT else t for t in alg.tables]
         firsts: dict[int, bytes] = {}
         self.rows = [None if arity == 0 else self._digit_row(t, arity, firsts)
                      if k ** arity <= PACK_LIMIT else Rows(t, k, k)
-                     for (_, arity), t in zip(alg.signature.symbols, tables)]
+                     for (_, arity), t in zip(alg.signature.symbols, alg.tables)]
 
     def _places(self, count: int, which: Iterable[int]) -> list[bytes]:
         """For each place i in `which`, place i, the first most
@@ -630,7 +672,7 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
     packing = Packing(alg, width)
     ndigits, keys_of, k = packing.length, packing.keys, packing.k
     commutative = [arity == 2 and all(t[a * k:(a + 1) * k] == t[a::k] for a in range(k))
-                   for (_, arity), t in zip(alg.signature.symbols, packing.tables)]
+                   for (_, arity), t in zip(alg.signature.symbols, alg.tables)]
     flat = packing.to_digits(starts)
     keys = keys_of(flat, len(starts))
     known = set(keys) if type(keys) is list else bytearray(keys)
@@ -684,13 +726,13 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
 
 
 def induced_tables(alg: FiniteAlgebra, members: Sequence[tuple[int, ...]]
-                   ) -> tuple[tuple[int, ...], ...]:
+                   ) -> tuple[Sequence[int], ...]:
     """The operation tables, over positions in `members`, of a non-empty
     list of equal-width vectors of carrier indices that is closed under
-    the basic operations applied pointwise: the block pass of `close`
-    over every row-major run, and one key lookup per output, or one
-    `translate` per block through a key-to-position table when a key
-    is one byte."""
+    the basic operations applied pointwise, as `FiniteAlgebra` holds
+    them: the block pass of `close` over every row-major run, and one key
+    lookup per output, or one `translate` per block through a
+    key-to-position table when a key is one byte."""
     width, count = len(members[0]), len(members)
     packing = Packing(alg, width)
     keys_of = packing.keys
@@ -702,13 +744,14 @@ def induced_tables(alg: FiniteAlgebra, members: Sequence[tuple[int, ...]]
     tables = []
     for i, ((_, arity), table) in enumerate(zip(alg.signature.symbols, alg.tables)):
         if arity == 0:
-            tables.append((position[keys_of(packing.constant(table[0]), 1)[0]],))
-            continue
-        cells: list[int] = []
-        for block, ends in run_blocks(count, 0, arity, False, packing.length, float("inf")):
-            keys = keys_of(packing.compose(i, arity, block, flat), ends[-1])
-            cells += keys.translate(where) if where else map(position.__getitem__, keys)
-        tables.append(tuple(cells))
+            parts = [pack([position[keys_of(packing.constant(table[0]), 1)[0]]], count)]
+        else:
+            parts = []
+            for block, ends in run_blocks(count, 0, arity, False, packing.length, float("inf")):
+                keys = keys_of(packing.compose(i, arity, block, flat), ends[-1])
+                parts.append(keys.translate(where) if where
+                             else pack(map(position.__getitem__, keys), count))
+        tables.append(join_table(parts, count))
     return tuple(tables)
 
 

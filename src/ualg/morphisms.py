@@ -136,8 +136,6 @@ def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra,
         table = dst.table(sym)
         if arity and kd ** arity <= PACK_LIMIT:
             table = as_row(table, PACK_LIMIT)
-        if arity > 1 and ks <= PACK_LIMIT:  # its rows and columns then slice as bytes
-            s_table = pack(s_table, ks)
         ops.append((arity, s_table, Rows(s_table, ks, ks), table, Rows(table, kd, kd)))
     closed = pack(fixed, ks)  # the element at each position
     position = [0] * ks
@@ -177,7 +175,7 @@ def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra,
             if not unreached[out]:  # derived at an earlier cell of the run
                 continue
             args = prefix + (c,) + suffix
-            flat = flat and type(table) is bytes and sum(a >= start for a in args) == 1
+            flat = flat and cell is not None and sum(a >= start for a in args) == 1
             if not flat:  # derived per candidate, from args
                 reach(out, (None, None, table, None, args))
                 continue
@@ -221,9 +219,10 @@ def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra,
     levels, gen, start = [], None, 0
     while True:
         flat = gen is not None and kd <= PACK_LIMIT
-        # per flat-checked symbol: its argument columns and output column
+        # per flat-checked symbol, one whose target table is a translation
+        # table: its argument columns and output column
         cells = [([pack((), ks) for _ in range(arity)], pack((), ks))
-                 if type(table) is bytes else None for arity, _, _, table, _ in ops]
+                 if arity and kd ** arity <= PACK_LIMIT else None for arity, *_ in ops]
         # semi-naive: the element at position head meets only the cells
         # over positions 0..head that hold it.  A unary symbol takes one
         # lookup per head, a binary one a translate of the head's row over

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .core import IDENT_RE, MAX_TABLE_CELLS, BudgetExceeded, FiniteAlgebra, Rows, Signature, UalgError
-from .core import gather, pack, power_exceeds, weighted_sum
+from .core import (BLOCK_CELLS, IDENT_RE, MAX_TABLE_CELLS, BudgetExceeded, FiniteAlgebra, Rows,
+                   Signature, UalgError, gather_blocks, join_table, pack, power_exceeds, spread,
+                   weighted_sum)
 from .morphisms import (
     Morphism,
     check_homomorphism,
@@ -54,7 +55,14 @@ def direct_product(
     leftmost factor most significant; fresh names default to
     prefix+index in that order.  The empty product needs an explicit
     signature and yields the one-element algebra.  A table of more than
-    `core.MAX_TABLE_CELLS` cells raises BudgetExceeded before any is built."""
+    `core.MAX_TABLE_CELLS` cells raises BudgetExceeded before any is built.
+
+    Each table is built a block of about `core.BLOCK_CELLS` cells at a
+    time, a row of the product's size per argument prefix: per factor,
+    one `gather_blocks` of its rows, keyed by the prefix's digits in that
+    factor, over its repeated digit column; then one `weighted_sum` of
+    those by the factors' strides.  The tables come out as
+    `FiniteAlgebra` holds them, bytes up to PACK_LIMIT elements."""
     factors = tuple(factors)
     if not factors:
         if signature is None:
@@ -86,27 +94,32 @@ def direct_product(
             raise UalgError(f"bad element name: {e!r}")
     # element p has the mixed-radix digits (p // strides[fi]) % len(f.carrier)
     strides = [math.prod(len(f.carrier) for f in factors[fi + 1:]) for fi in range(len(factors))]
-    digits = [pack(((p // st) % len(f.carrier) for p in range(size)), size)
+    digits = [pack(((p // st) % len(f.carrier) for p in range(size)), len(f.carrier))
               for f, st in zip(factors, strides)]
+    per_block = max(1, BLOCK_CELLS // size)  # argument prefixes, a row of size cells each
+    columns = [d * per_block for d in digits]
 
     tables = []
     for sym, arity in sig.symbols:
         if arity == 0:
-            tables.append((sum(st * f.table(sym)[0] for f, st in zip(factors, strides)),))
+            tables.append(join_table([weighted_sum([f.table(sym) for f in factors], strides,
+                                                   size, 1)], size))
             continue
-        # the row of a prefix of product elements sums, over the factors,
-        # stride times the factor's row of that prefix's digits
-        rows = [Rows(f.table(sym), len(f.carrier), size) for f in factors]
-        cells: list[int] = []
-        for prefix in itertools.product(range(size), repeat=arity - 1):
-            parts = []
-            for f, d, f_rows in zip(factors, digits, rows):
-                r = 0
-                for p in prefix:
-                    r = r * len(f.carrier) + d[p]
-                parts.append(gather(f_rows[r], d))
-            cells.extend(weighted_sum(parts, strides, size, size))
-        tables.append(tuple(cells))
+        # the row of a prefix of m product elements sums, over the factors,
+        # stride times the factor's row of that prefix's digits, whose index
+        # is the digits read in base len(f.carrier)
+        m, blocks = arity - 1, []
+        keys = [weighted_sum([spread(d, size ** (m - 1 - j)) * size ** j for j in range(m)],
+                             [len(f.carrier) ** (m - 1 - j) for j in range(m)],
+                             len(f.carrier) ** m, size ** m) for f, d in zip(factors, digits)]
+        rows = [Rows(f.table(sym), len(f.carrier), len(f.carrier)) for f in factors]
+        for start in range(0, size ** m, per_block):
+            count = min(per_block, size ** m - start)
+            blocks.append(weighted_sum([gather_blocks(f_rows, f_keys[start:start + count],
+                                                      column, size)
+                                        for f_rows, f_keys, column in zip(rows, keys, columns)],
+                                       strides, size, count * size))
+        tables.append(join_table(blocks, size))
     prod = FiniteAlgebra(
         name=name or ("x".join(f.name for f in factors) or "Terminal"),
         carrier=fresh,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .core import (PACK_LIMIT, FiniteAlgebra, Rows, UalgError, UnknownElement, as_row,
-                   gather, gather_blocks, pack, spread, weighted_sum)
+                   gather, gather_blocks, join_table, pack, spread, weighted_sum)
 
 
 class TermError(UalgError):
@@ -298,12 +298,12 @@ def _plan(program: list[tuple], used: Sequence[int], k: int,
                 # the full argument is the last variable: each block is
                 # the table row (or column) of the outer value
                 step = (_JOIN, _shared(rows, _JOIN, table, transposed, lambda: [
-                    bytes(table[r::k] if transposed else table[r * k:(r + 1) * k])
+                    table[r::k] if transposed else table[r * k:(r + 1) * k]
                     for r in range(k)]), outer)
             else:
                 step = (_BLOCKS, _shared(rows, _BLOCKS, table, transposed, lambda: Rows(
-                    [v for r in range(k) for v in table[r::k]] if transposed else table, k, k)),
-                    (outer, inner))
+                    join_table([table[r::k] for r in range(k)], k) if transposed else table,
+                    k, k)), (outer, inner))
         elif len(arg) == 1:
             is_full = full[arg[0]]
             step = (_UNARY, _shared(rows, _UNARY, table, False, lambda: as_row(table, k)), arg[0])

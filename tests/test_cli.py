@@ -355,6 +355,59 @@ def test_product_bytes_match_golden_layout(capsys):
     assert payload["projections"][1]["map"]["v"] == "o4"
 
 
+def test_product_prints_pinned_bytes(capsys, tmp_path):
+    # exit code and sha256 of the --json stdout of `product` as the tables
+    # built one argument prefix at a time printed them: 128 elements, 255
+    # (the most held as bytes), 289 (held as tuples), and factors of 2 and
+    # 3 elements with a nullary and a ternary symbol
+    cyclic = tmp_path / "z.alg"
+    cyclic.write_text("".join(serialize_algebra(cyclic_group(n)) + "\n" for n in (3, 5, 17)))
+    small = tmp_path / "t.alg"
+    small.write_text(
+        "algebra P2\nelements a0 a1\nop c/0 = a1\nop t/3 = a0 a0 a0 a1 a0 a1 a1 a1\n"
+        "op m/2 = a0 a1 a1 a1\nend\n\nalgebra P3\nelements b0 b1 b2\nop c/0 = b2\nop t/3 = "
+        + " ".join(f"b{(x + 2 * y + z) % 3}" for x in range(3) for y in range(3) for z in range(3))
+        + "\nop m/2 = " + " ".join(f"b{max(x, y)}" for x in range(3) for y in range(3))
+        + "\nend\n")
+    cases = [
+        ((BO, "B,O,O,O"), "7996061f6c9148eed63661920c28ab69ab9e6000de31382cc9c2bcb5989599c1"),
+        ((str(cyclic), "Z3,Z5,Z17"),
+         "aa3f784e56ad56c2a17456c5789db5d0c1a6063c3dd8c5da647b27d29b5be80e"),
+        ((str(cyclic), "Z17,Z17"),
+         "90b21214b87d69f043de254bb0e83b5c97c8feee1c1fb015fbbc08516aa3bb98"),
+        ((str(small), "P2,P3"), "01b1a492ebd5234e530353bf7fb4b9addda6cadfb9aefba0958892ad2aa8ce06"),
+        ((str(small), "P3,P2,P3"),
+         "e0cfda7ca95ed0d81cb736caae105d1ee4bfa89f3af6b83828159c10679f1a7c"),
+    ]
+    for (path, names), digest in cases:
+        code, out, _ = run(capsys, "--json", "product", path, "--algebras", names)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), names
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_refused_output_is_one_line_exit_2(unbuffered):
+    # stdout on a full device, and on a pipe whose read end is closed: one
+    # stderr line and exit 2, with no traceback at the write or at exit
+    env = dict(os.environ, PYTHONPATH=str(Path(ualg.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with open("/dev/full", "w") as full:
+            for argv, sink in ((("check", SMALL), full),
+                               (("product", BO, "--algebras", "B,O,O,O,O"), write_end)):
+                proc = subprocess.run([sys.executable, "-m", "ualg.cli", "--json", *argv],
+                                      stdout=sink, stderr=subprocess.PIPE, text=True,
+                                      env=env, timeout=60)
+                assert proc.returncode == 2, argv
+                assert proc.stderr.startswith("cannot write output: "), proc.stderr
+                assert proc.stderr.count("\n") == 1, proc.stderr
+    finally:
+        os.close(write_end)
+
+
 def test_free_retract(capsys):
     code, out, _ = run(capsys, "--json", "free-retract", "--gens", "1",
                        "--bound", "8", "--image-bound", "3")

@@ -5,12 +5,18 @@ from ualg import (
     InvalidAlgebra,
     Signature,
     Subuniverse,
+    UalgError,
     UnknownElement,
+    adjoin_generate,
+    canonicalize,
+    direct_product,
     is_subuniverse,
+    reduct,
     validate_algebra,
 )
-from ualg.catalog import boolean_2, boolean_4, lattice_2
-from ualg.core import UnknownSymbol, power_exceeds
+from ualg.catalog import boolean_2, boolean_4, cyclic_group, lattice_2
+from ualg.core import UnknownSymbol, build_algebra, induced_tables, power_exceeds
+from ualg.fileformat import parse_algebra_file, serialize_algebra
 
 
 def test_row_major_layout():
@@ -145,3 +151,45 @@ def test_subuniverse_rejects_open_subset():
     O = boolean_4()
     with pytest.raises(ValueError):
         Subuniverse.of(O, ["o2", "o3"])
+
+
+@pytest.mark.parametrize("k", [1, 2, 255, 256, 257])
+def test_tables_are_bytes_exactly_up_to_256_elements(k):
+    # every way of making an algebra holds bytes tables when k <= 256 and
+    # tuples above; an algebra given tuple tables equals the parsed one
+    form = bytes if k <= 256 else tuple
+    catalog = cyclic_group(k)
+    text = serialize_algebra(catalog)
+    (parsed,) = parse_algebra_file(text)
+    factors = {1: [1], 2: [2], 255: [3, 5, 17], 256: [16, 16], 257: [257]}[k]
+    made = {
+        "catalog": catalog,
+        "parsed": parsed,
+        "validated": validate_algebra(f"Z{k}", catalog.carrier, [
+            (sym, arity, [catalog.carrier[v] for v in table])
+            for (sym, arity), table in zip(catalog.signature.symbols, catalog.tables)]),
+        "built": build_algebra(f"Z{k}", catalog.carrier, [
+            (sym, arity, tuple(table))
+            for (sym, arity), table in zip(catalog.signature.symbols, catalog.tables)]),
+        "product": direct_product([cyclic_group(n) for n in factors]).product,
+        "subalgebra": Subuniverse(catalog, catalog.carrier).as_algebra(),
+        "extension": adjoin_generate(catalog, [canonicalize(catalog, [], ["g0"])]).algebra,
+        "reduct": reduct(catalog, ["mul", "one"]),
+    }
+    for how, alg in made.items():
+        assert len(alg.carrier) == k, how
+        assert [type(t) for t in alg.tables] == [form] * len(alg.tables), how
+    assert [type(t) for t in induced_tables(catalog, [(i,) for i in range(k)])] == [form] * 3
+    for tables in (tuple(map(tuple, parsed.tables)), tuple(map(list, parsed.tables))):
+        given = FiniteAlgebra(parsed.name, parsed.carrier, parsed.signature, tables)
+        assert given == parsed and hash(given) == hash(parsed)
+        assert given.tables == parsed.tables
+    assert serialize_algebra(parsed) == text
+
+
+@pytest.mark.parametrize("k, value", [(1, 1), (2, 2), (2, 255), (2, 256), (2, -1),
+                                      (255, 255), (256, 256), (256, -1)])
+def test_table_value_outside_the_carrier(k, value):
+    sig = Signature((("f", 1),))
+    with pytest.raises(UalgError, match="table of f/1 holds a value that is not an index"):
+        FiniteAlgebra("A", tuple(f"a{i}" for i in range(k)), sig, ((value,) + (0,) * (k - 1),))

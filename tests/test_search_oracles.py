@@ -709,7 +709,7 @@ def test_symbols_sharing_one_target_table():
     C5 = cycle("C", 5)
     succ = C5.table("s")
     a = FiniteAlgebra("A", C5.carrier, Signature((("f", 1), ("g", 1))),
-                      (succ, (0,) + succ[1:]))
+                      (succ, (0, *succ[1:])))
     b = FiniteAlgebra("B", C5.carrier, Signature((("f", 1), ("g", 1))), (succ, succ))
     assert _search_homomorphisms(a, b, [range(5)] * 5) == []
     assert enumerate_homomorphisms(a, b, mode="count") == 0
