@@ -17,7 +17,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional
 
-from .core import FiniteAlgebra, InvalidAlgebra, Subuniverse, UalgError
+from .core import FiniteAlgebra, Subuniverse, UalgError
 from .fileformat import (
     ParseError,
     parse_algebra_file,
@@ -353,8 +353,18 @@ def cmd_rp(args) -> int:
     return 0 if report.variety_member else FALSE_VERDICT
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help and usage writes are flushed at once
+    and raise OSError, which argparse's own would drop."""
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        file.write(message)
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ualg", description="finite universal-algebra toolkit"
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
@@ -469,7 +479,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except (UalgError, InvalidAlgebra) as exc:
+    except UalgError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:  # stdout refused the output: a closed pipe, a full device

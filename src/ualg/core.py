@@ -175,31 +175,6 @@ def weighted_sum(vectors: Sequence, weights: Sequence[int], n: int, length: int)
     return [0] * length if out is None else out
 
 
-def apply_run(rows: Rows, k: int, prefix: Sequence[Sequence[int]], column, width: int):
-    """One row-major run: the operation of `rows`, applied position by
-    position to prefix + (v,) for each width-position vector v of a
-    column of consecutive vectors that `pack` made with k.  The results
-    overwrite the column: one gather per position, over its strided
-    slice, with the row of that position's prefix."""
-    row_of = [0] * width
-    for vector in prefix:
-        row_of = [r * k + v for r, v in zip(row_of, vector)]
-    for i, r in enumerate(row_of):
-        column[i::width] = gather(rows[r], column[i::width])
-    return column
-
-
-def semi_naive_runs(count: int, new_from: int,
-                    arity: int) -> Iterable[tuple[tuple[int, ...], int]]:
-    """Row-major runs of the argument tuples over members 0..count-1 that
-    hold a new member (index >= new_from): (prefix, low) stands for the
-    tuples prefix + (last,) for last in low..count-1.  Tuples of older
-    members were all applied in an earlier closure round (semi-naive
-    iteration).  Nullary operations have no runs."""
-    for prefix in itertools.product(range(count), repeat=arity - 1) if arity else ():
-        yield prefix, 0 if prefix and max(prefix) >= new_from else new_from
-
-
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """An algebra: ordered carrier of urelements plus total operation tables.
@@ -456,17 +431,20 @@ def fresh_keys(keys, known):
 
 
 def run_blocks(count: int, new_from: int, arity: int, skip: bool, width: int, allowed):
-    """The runs of one closure round for one symbol of arity >= 1
-    (`semi_naive_runs`) as (prefix, low, length) triples, in blocks of
-    about BLOCK_CELLS output cells at `width` cells a vector, each
-    yielded with the ends of its runs, in attempts from the block's
-    start.  skip starts each run at its first argument, for a
-    commutative binary symbol.  length is the run's attempt count: the
-    run in which `allowed` attempts run out is cut to them, to none at
-    an exact run end, and ends the last block.  Runs are built a block
-    at a time, by list comprehensions over the argument prefixes;
-    `bisect` on the running sums of their lengths finds the block's end
-    and the budget's cut."""
+    """The runs of one closure round for one symbol of arity >= 1: the
+    argument tuples over members 0..count-1 that hold a member new in
+    the round before (index >= new_from), since tuples of older members
+    were all applied in an earlier round (semi-naive iteration).  A run
+    (prefix, low, length) stands for the row-major tuples prefix +
+    (last,), last from low on.  Runs come in blocks of about BLOCK_CELLS
+    output cells at `width` cells a vector, each yielded with the ends
+    of its runs, in attempts from the block's start.  skip starts each
+    run at its first argument, for a commutative binary symbol.  length
+    is the run's attempt count: the run in which `allowed` attempts run
+    out is cut to them, to none at an exact run end, and ends the last
+    block.  Runs are built a block at a time, by list comprehensions
+    over the argument prefixes; `bisect` on the running sums of their
+    lengths finds the block's end and the budget's cut."""
     per_block = -(-BLOCK_CELLS // max(width, 1))
     shortest = 1 if skip else count - new_from  # attempts of a run, at least
     prefixes = itertools.product(range(count), repeat=arity - 1)
@@ -599,9 +577,9 @@ class Packing:
         digits `flat` holds back to back.  With a translation table, one
         `weighted_sum` of the argument digits (each prefix member
         repeated along its run, the runs' last arguments cut from
-        `flat`) and one translate; else, on one-digit vectors, one
-        translate per run through the row of its prefix, joined, and on
-        wider ones one `apply_run` per run."""
+        `flat`) and one translate; else each run through the rows of its
+        prefix: digit j of every vector of its last arguments gathered
+        with the row at the prefix members' digits j, the runs joined."""
         rows, width, base = self.rows[i], self.length, self.base
         lasts = [flat[low * width:(low + length) * width] for _, low, length in block]
         if type(rows) is bytes:
@@ -613,19 +591,14 @@ class Packing:
                     + [index], [base ** (arity - 1 - j) for j in range(arity)],
                     base ** arity, len(index))
             return index.translate(rows)
-        if width == 1 and type(flat) is bytearray:
-            out = []
-            for (prefix, _, _), column in zip(block, lasts):
+        for (prefix, _, _), column in zip(block, lasts):
+            for j in range(width):
                 r = 0
                 for c in prefix:
-                    r = r * base + flat[c]
-                out.append(column.translate(rows[r]))
-            return bytearray().join(out)
-        out = pack((), base)
-        for (prefix, _, _), column in zip(block, lasts):
-            out += apply_run(rows, base, [flat[c * width:(c + 1) * width] for c in prefix],
-                             column, width)
-        return out
+                    r = r * base + flat[c * width + j]
+                column[j::width] = gather(rows[r], column[j::width])
+        return (bytearray().join(lasts) if type(flat) is bytearray
+                else list(itertools.chain.from_iterable(lasts)))
 
 
 # The most cells, members times width, that `close` holds: it raises
@@ -772,9 +745,10 @@ def is_subuniverse(
 ) -> tuple[bool, Optional[ClosureWitness]]:
     """Closure check: True iff subset is closed under every operation and
     contains every nullary value.  On failure returns the first escaping
-    application (symbol order, then row-major argument order).  One
-    `apply_run` call per row-major run of last arguments over the sorted
-    members, stopping at the first run with an output outside them.
+    application (symbol order, then row-major argument order).  For each
+    argument prefix of sorted members, one gather of the sorted members
+    through the prefix's row, stopping at the first with an output
+    outside them.
     """
     members = set()
     for e in subset:
@@ -789,14 +763,16 @@ def is_subuniverse(
             if table[0] not in members:
                 return False, ClosureWitness(sym, (), alg.carrier[table[0]])
             continue
-        rows = Rows(table, k, k)
-        for prefix, _ in semi_naive_runs(len(ordered), 0, arity):
-            outs = apply_run(rows, k, [(ordered[c],) for c in prefix], flat[:], 1)
+        for prefix in itertools.product(ordered, repeat=arity - 1):
+            r = 0
+            for c in prefix:
+                r = r * k + c
+            outs = gather(as_row(table[r * k:(r + 1) * k], k), flat)
             if not members.issuperset(outs):
-                last = next(i for i, out in enumerate(outs) if out not in members)
+                i = next(i for i, out in enumerate(outs) if out not in members)
                 return False, ClosureWitness(
-                    sym, tuple(alg.carrier[ordered[c]] for c in prefix + (last,)),
-                    alg.carrier[outs[last]])
+                    sym, tuple(alg.carrier[c] for c in prefix + (ordered[i],)),
+                    alg.carrier[outs[i]])
     return True, None
 
 

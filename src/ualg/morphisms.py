@@ -9,8 +9,7 @@ from operator import add, itemgetter
 from typing import Iterable, Literal, Optional, Sequence
 
 from .core import IDENT_RE, BudgetExceeded, FiniteAlgebra, Signature, Subuniverse, UalgError
-from .core import PACK_LIMIT, Rows, UnknownSymbol, as_row, gather, pack, semi_naive_runs
-from .core import weighted_sum
+from .core import PACK_LIMIT, Rows, UnknownSymbol, as_row, gather, pack, weighted_sum
 
 
 class SignatureMismatch(UalgError):
@@ -263,7 +262,8 @@ def _schedule(src: FiniteAlgebra, dst: FiniteAlgebra,
                                     gather(to_position, found), table))
             elif arity and not cell:
                 runs, outs = [], pack((), ks)
-                for prefix, low in semi_naive_runs(end, start, arity):
+                for prefix in itertools.product(range(end), repeat=arity - 1):
+                    low = 0 if prefix and max(prefix) >= start else start
                     lo = len(outs)
                     outs += gather(s_rows[row_of(prefix)], closed[low:end])
                     runs.append((prefix, low > 0, lo, len(outs)))

@@ -209,7 +209,10 @@ def preset(name: str) -> EquationSet:
         return EquationSet(name=name, equations=fixed[name])
     m = _VS_RE.match(name)
     if m:
-        return EquationSet(name=name, equations=vector_space_equations(int(m.group(1))))
+        q = m.group(1).lstrip("0") or "0"
+        if q not in map(str, _PRIME_POWERS):  # int() refuses thousands of digits
+            raise UalgError(f"not a supported prime power: {q}")
+        return EquationSet(name=name, equations=vector_space_equations(int(q)))
     raise UalgError(f"unknown preset: {name}")
 
 

@@ -397,7 +397,8 @@ def test_refused_output_is_one_line_exit_2(unbuffered):
     try:
         with open("/dev/full", "w") as full:
             for argv, sink in ((("check", SMALL), full),
-                               (("product", BO, "--algebras", "B,O,O,O,O"), write_end)):
+                               (("product", BO, "--algebras", "B,O,O,O,O"), write_end),
+                               (("--help",), full)):
                 proc = subprocess.run([sys.executable, "-m", "ualg.cli", "--json", *argv],
                                       stdout=sink, stderr=subprocess.PIPE, text=True,
                                       env=env, timeout=60)
@@ -406,6 +407,13 @@ def test_refused_output_is_one_line_exit_2(unbuffered):
                 assert proc.stderr.count("\n") == 1, proc.stderr
     finally:
         os.close(write_end)
+
+
+def test_preset_with_a_huge_field_size_is_one_line_exit_2(capsys):
+    # q is refused before int() reads it, which refuses thousands of digits
+    q = "9" * 5000
+    code, out, err = run(capsys, "satisfies", BO, f"preset:vector-space({q})", "--algebra", "B")
+    assert (code, out, err) == (2, "", f"not a supported prime power: {q}\n")
 
 
 def test_free_retract(capsys):

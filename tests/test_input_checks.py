@@ -11,6 +11,7 @@ from ualg.cli import CliError, build_parser
 from ualg.core import UnknownSymbol
 from ualg.fileformat import ParseError
 from ualg.morphisms import homomorphic_image
+from ualg.presets import preset
 from ualg.products import mediating_morphism
 from ualg.reduced_power import parse_ep_sequence
 from ualg.terms import Var
@@ -75,6 +76,10 @@ CASES = [
      "generator over a different base algebra"),
     ("retraction-negative-index", lambda: coordinate_retraction(adjoin_generate(B, []), -1),
      UalgError, "index must be >= 0"),
+    ("preset-huge-field-size", lambda: preset(f"vector-space({'9' * 5000})"), UalgError,
+     f"not a supported prime power: {'9' * 5000}"),
+    ("preset-leading-zeros", lambda: preset("vector-space(006)"), UalgError,
+     "not a supported prime power: 6"),
     ("preservation-outside-variety",
      lambda: preservation_suite(B, parse_equation_file("vars x y\neq and(x, y) = x\n", "E"), []),
      UalgError, "B does not satisfy E to begin with"),

@@ -2,8 +2,8 @@
 strips it, so a check on caller input must raise, and a re-check of a
 result the library has just built belongs in the tests.  No function
 takes a parameter that its body never reads, and no module imports a
-name that it never reads.  And no result is kept from one call to the
-next."""
+name that it never reads.  No result is kept from one call to the
+next.  And every top-level function and class has a reader."""
 
 import ast
 from pathlib import Path
@@ -117,4 +117,38 @@ def test_no_cache_outlives_a_call():
                 if (isinstance(target, ast.Name) and target.id in module_names
                         and target.id not in local):
                     found.append(f"{name}:{n.lineno} fills module-level {target.id}")
+    assert found == []
+
+
+def read_names(nodes):
+    """The names that the given AST nodes read: loaded names, attribute
+    names and names imported from a module."""
+    found = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                found.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                found.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                found.update(a.name for a in n.names)
+    return found
+
+
+def test_every_definition_has_a_reader():
+    # a top-level function or class must be read by library code outside
+    # its own body, re-exported by the package, or imported by the
+    # acceptance tests; anything else is code that has no caller
+    modules = dict(library_modules())
+    exported = read_names([modules["__init__.py"]])
+    accepted = read_names([ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())])
+    found = []
+    for name, tree in modules.items():
+        others = read_names(t for n, t in modules.items() if n not in (name, "__init__.py"))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = read_names(stmt for stmt in tree.body if stmt is not node)
+            if node.name not in others | own | exported | accepted:
+                found.append(f"{name}:{node.lineno} {node.name}")
     assert found == []
