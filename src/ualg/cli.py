@@ -46,10 +46,8 @@ USAGE_ERROR = 2
 FALSE_VERDICT = 1
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+class CliError(UalgError):
+    """A usage or input error found by the command line itself."""
 
 
 def _read_file(path: str) -> str:
@@ -94,10 +92,7 @@ def _pick_pair(args) -> tuple[FiniteAlgebra, FiniteAlgebra]:
 
 def _load_equations(path: str, name: str):
     if path.startswith("preset:"):
-        try:
-            return preset(path.removeprefix("preset:"))
-        except UalgError as exc:
-            raise CliError(str(exc))
+        return preset(path.removeprefix("preset:"))
     try:
         return parse_equation_file(_read_file(path), name=name)
     except ParseError as exc:
@@ -284,11 +279,7 @@ def cmd_product(args) -> int:
     algs = _load_algebras(args.file)
     factors = [_pick(algs, n, args.file) for n in args.algebras.split(",")]
     elements = args.elements.split(",") if args.elements else None
-    try:
-        prod = direct_product(factors, prefix=args.prefix, elements=elements,
-                              name=args.name)
-    except UalgError as exc:
-        raise CliError(str(exc))
+    prod = direct_product(factors, prefix=args.prefix, elements=elements, name=args.name)
     relabel = {e: list(t) for e, t in prod.labels}
     projections = [
         {"factor": f.name, "map": m.as_dict()}
@@ -466,6 +457,14 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _to_null(stream) -> None:
+    # the interpreter flushes the stream again at exit; what is still
+    # buffered then goes to the null device instead of failing again
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -476,20 +475,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    except CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
     except UalgError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:  # stdout refused the output: a closed pipe, a full device
-        # the interpreter flushes stdout again at exit; what is still
-        # buffered then goes to the null device instead of failing again
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        message = str(exc)
+    except MemoryError:  # printed once the handler has let go of the work's frames
+        message = "out of memory"
+    except OSError as exc:  # an output stream refused a write: a closed pipe, a full device
+        _to_null(sys.stdout)
+        message = f"cannot write output: {exc}"
+    try:  # every refusal is this one stderr line, or none if stderr refuses it
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        _to_null(sys.stderr)
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

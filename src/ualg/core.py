@@ -606,7 +606,7 @@ class Packing:
 MAX_MEMBER_CELLS = 1 << 23
 
 
-def _too_many_members() -> BudgetExceeded:
+def too_many_members() -> BudgetExceeded:
     return BudgetExceeded(f"closure members would hold more than {MAX_MEMBER_CELLS} cells")
 
 
@@ -637,11 +637,11 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
     left are counted, not made, or, when the budget covers the rest of
     the round and one more, the closure returns at once, complete.
     Members of more than MAX_MEMBER_CELLS indices in all raise
-    BudgetExceeded."""
+    `too_many_members()`; `clone_n` and `adjoin_generate` check starts too."""
     width = len(starts[0]) if starts else 0
     most = MAX_MEMBER_CELLS // width if width else float("inf")
     if len(starts) > most:
-        raise _too_many_members()
+        raise too_many_members()
     packing = Packing(alg, width)
     ndigits, keys_of, k = packing.length, packing.keys, packing.k
     commutative = [arity == 2 and all(t[a * k:(a + 1) * k] == t[a::k] for a in range(k))
@@ -665,7 +665,7 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
             if arity == 0:
                 if fresh_keys(keys_of(const, 1), known):
                     if len(derivations) >= most:
-                        raise _too_many_members()
+                        raise too_many_members()
                     flat += const
                     derivations.append((sym, ()))
                 continue
@@ -679,7 +679,7 @@ def close(alg: FiniteAlgebra, starts: Sequence[tuple[int, ...]], budget: Optiona
                         r = bisect_right(ends, j)  # the run of output j
                         prefix, low, length = block[r]
                         if len(derivations) >= most:
-                            raise _too_many_members()
+                            raise too_many_members()
                         derivations.append((sym, prefix + (low + j - ends[r] + length,)))
                         flat += out[j * ndigits:(j + 1) * ndigits]
                 elif limit - attempts >= rest:  # no attempt left can be cut

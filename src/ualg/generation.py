@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import BudgetExceeded, FiniteAlgebra, Subuniverse, UalgError, UnknownElement
-from .core import close, is_subuniverse, power_exceeds
+from .core import MAX_MEMBER_CELLS, close, is_subuniverse, power_exceeds, too_many_members
 from .terms import App, Term, Var
 
 
@@ -98,12 +98,6 @@ class CloneFragment:
         return {m.table for m in self.members}
 
 
-# The most cells, n * k**n, that the n projections of a clone fragment
-# over k elements may hold; beyond it clone_n raises BudgetExceeded
-# before it builds them.
-MAX_PROJECTION_CELLS = 1 << 20
-
-
 def clone_n(alg: FiniteAlgebra, n: int, budget: int = 1_000_000) -> CloneFragment:
     """The n-ary clone fragment: closure of the n projections under
     composition with the basic operations, tracked as value tables and
@@ -111,14 +105,13 @@ def clone_n(alg: FiniteAlgebra, n: int, budget: int = 1_000_000) -> CloneFragmen
     actually made (the commutative skip makes fewer, so a budget-cut
     fragment can gain members); on overrun the partial fragment is
     returned with complete=False.  A complete fragment does not depend
-    on the budget.  Projections of more than MAX_PROJECTION_CELLS cells
-    raise BudgetExceeded whatever the budget."""
+    on the budget.  Projections past `core.MAX_MEMBER_CELLS` cells in all
+    raise BudgetExceeded before any is built, as members past it do."""
     if n < 1:
         raise UalgError("clone arity must be >= 1")
     k = len(alg.carrier)
-    if power_exceeds(k, n, MAX_PROJECTION_CELLS // n):  # n * k**n cells
-        raise BudgetExceeded(f"clone arity {n} over {k} elements: the projections "
-                             f"need more than {MAX_PROJECTION_CELLS} cells")
+    if power_exceeds(k, n, MAX_MEMBER_CELLS // n):  # n * k**n cells
+        raise too_many_members()
     # a repeated projection column (one element) keeps its last variable
     # projection i holds the i-th argument of every row-major n-tuple
     projections = {tuple(v for v in range(k) for _ in range(k ** (n - 1 - i))) * k**i: Var(i)

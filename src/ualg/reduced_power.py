@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import BudgetExceeded, FiniteAlgebra, UalgError
-from .core import close, induced_tables, power_exceeds
+from .core import MAX_MEMBER_CELLS, close, induced_tables, too_many_members
 from .morphisms import Morphism
 
 
@@ -136,7 +136,13 @@ def adjoin_generate(
     lengths, since the constants and the generators all repeat from that
     preperiod with that period, and pointwise images keep this.  A
     generator not in canonical form raises UalgError.  Members come
-    constants first, in base carrier order, then as `_sort_key` orders."""
+    constants first, in base carrier order, then as `_sort_key` orders.
+    The limits are those of `clone_n`: starts past `core.MAX_MEMBER_CELLS`
+    cells raise BudgetExceeded before any is built, and so does a closure
+    cut by budget, which caps its composition attempts.  A complete one
+    composed every argument tuple (half, for a commutative binary symbol)
+    or stopped saturated with budget for twice every tuple, so each table
+    of arity >= 1 holds at most 2 * budget cells."""
     gens = tuple(gens)
     for g in gens:
         if g.base != alg:
@@ -144,15 +150,16 @@ def adjoin_generate(
         if canonicalize(alg, g.preperiod, g.period) != g:
             raise UalgError("generator not canonical")
     pre_bound, per_bound = _window(gens)
-    if power_exceeds(len(alg.carrier), pre_bound + per_bound, budget):
-        raise BudgetExceeded("generated extension candidate bound exceeds budget")
-
     # a member is its window: its carrier indices at positions
     # 0 .. pre_bound+per_bound-1, from which it repeats with period per_bound
     width = pre_bound + per_bound
+    if (len(alg.carrier) + len(gens)) * width > MAX_MEMBER_CELLS:
+        raise too_many_members()
     starts = [(i,) * width for i in range(len(alg.carrier))]
     starts += [tuple(alg.index_of[g.at(p)] for p in range(width)) for g in gens]
-    windows, _, _, _ = close(alg, list(dict.fromkeys(starts)))
+    windows, _, _, complete = close(alg, list(dict.fromkeys(starts)), budget)
+    if not complete:
+        raise BudgetExceeded("generated extension closure exceeds budget")
     by_window = {w: canonicalize(alg, [alg.carrier[v] for v in w[:pre_bound]],
                                  [alg.carrier[v] for v in w[pre_bound:]]) for w in windows}
     windows.sort(key=lambda w: _sort_key(by_window[w]))

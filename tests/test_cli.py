@@ -409,6 +409,24 @@ def test_refused_output_is_one_line_exit_2(unbuffered):
         os.close(write_end)
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_refused_stderr_is_exit_2(unbuffered):
+    # a refusal whose one stderr line cannot be written, and a help text
+    # that neither stream takes: exit 2, with no traceback at exit
+    env = dict(os.environ, PYTHONPATH=str(Path(ualg.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        for argv, sink in ((("check", "nonexistent.alg"), subprocess.PIPE),
+                           (("--bogus",), subprocess.PIPE),
+                           (("--help",), full)):
+            proc = subprocess.run([sys.executable, "-m", "ualg.cli", *argv], stdout=sink,
+                                  stderr=full, text=True, env=env, timeout=60)
+            assert proc.returncode == 2, argv
+            assert not proc.stdout, argv
+
+
 def test_preset_with_a_huge_field_size_is_one_line_exit_2(capsys):
     # q is refused before int() reads it, which refuses thousands of digits
     q = "9" * 5000
@@ -467,11 +485,12 @@ def assert_one_line_input_error(code, out, err, message):
 
 
 def test_clone_arity_past_the_projection_limit(capsys):
-    # 30 projections of 2**30 cells each are refused before any is built
+    # 30 projections of 2**30 cells each are refused before any is built,
+    # as the closure members they would be
     code, out, err = run(capsys, "--budget", "10", "clone", BO, "--algebra", "B",
                          "--arity", "30")
-    assert_one_line_input_error(code, out, err, "clone arity 30 over 2 elements: the "
-                                "projections need more than 1048576 cells")
+    assert_one_line_input_error(code, out, err,
+                                "closure members would hold more than 8388608 cells")
 
 
 def test_clone_past_the_member_limit():
@@ -528,14 +547,53 @@ def test_check_arity_at_the_printed_size_limit(capsys, tmp_path):
 
 def test_rp_window_past_the_budget_without_the_power(tmp_path):
     # periods 101, 103, 107 and 109 make windows of 121330189 positions,
-    # so the candidate count is 3**121330189, refused without building it
+    # so the 3 + 4 starts alone would hold 849311323 cells, refused
+    # without building them
     path = tmp_path / "z3.alg"
     path.write_text(serialize_algebra(cyclic_group(3)))
     gens = [arg for p in (101, 103, 107, 109) for arg in ("--gen", "per g1" + " g0" * (p - 1))]
     code, out, err, seconds = run_limited("rp", "adjoin", str(path), *gens)
     assert seconds < 1
     assert_one_line_input_error(code, out, err,
-                                "generated extension candidate bound exceeds budget")
+                                "closure members would hold more than 8388608 cells")
+
+
+def webb_generators(columns):
+    """Four period-16 generators over W2 whose windows hold `columns`
+    distinct columns (a0/a1 bits of 0 .. columns-1), so that the extension
+    they generate is all of W2**columns."""
+    where = list(range(columns)) + list(range(16 - columns))
+    return [arg for bit in range(4)
+            for arg in ("--gen", "per " + " ".join(f"a{(c >> bit) & 1}" for c in where))]
+
+
+def test_rp_closure_past_the_budget(tmp_path):
+    # 2**16 members, every vector of W2**16: the closure is cut at the
+    # default budget of attempts, long before its tables would be built
+    path = tmp_path / "w2.alg"
+    path.write_text(serialize_algebra(sheffer(2)))
+    code, out, err, seconds = run_limited("rp", "adjoin", str(path), *webb_generators(16))
+    assert seconds < 5
+    assert_one_line_input_error(code, out, err, "generated extension closure exceeds budget")
+
+
+def test_rp_out_of_memory_is_one_line_exit_2(tmp_path):
+    # 2**12 members pass a raised budget; their table of 2**24 cells does
+    # not fit in 200 MB of address space
+    path = tmp_path / "w2.alg"
+    path.write_text(serialize_algebra(sheffer(2)))
+    code, out, err, _ = run_limited("--budget", "100000000", "rp", "adjoin", str(path),
+                                    *webb_generators(12), seconds=60, memory=200 << 20)
+    assert_one_line_input_error(code, out, err, "out of memory")
+
+
+def test_rp_window_wider_than_its_columns(capsys):
+    # periods 8 and 9 make windows of 72 positions: the constants, the
+    # two generators, their meet and their join, 6 members
+    code, out, err = run(capsys, "rp", "adjoin", SMALL, "--algebra", "L2",
+                         "--gen", "per" + " d0" * 7 + " d1", "--gen", "per" + " d0" * 8 + " d1")
+    assert (code, err) == (0, "")
+    assert out.endswith("\n6 members\n")
 
 
 def test_eval_unknown_element(capsys):
@@ -726,14 +784,15 @@ def test_retracts_honours_budget(capsys):
 
 
 def test_rp_honours_budget(capsys):
-    # the window of `per b1 b2 b2 b1` bounds the members by 2**4 = 16
+    # --budget caps the composition attempts of the closure, as for clone:
+    # the closure of `per b1 b2 b2 b1` completes at its 24th attempt
     args = (BO, "--algebra", "B", "--gen", "per b1 b2 b2 b1")
     for command in (("adjoin",), ("retract", "--index", "1"),
                     ("preserve", "preset:boolean-algebra")):
-        code, out, err = run(capsys, "--budget", "10", "rp", command[0], *args, *command[1:])
+        code, out, err = run(capsys, "--budget", "23", "rp", command[0], *args, *command[1:])
         assert_one_line_input_error(code, out, err,
-                                    "generated extension candidate bound exceeds budget")
-    code, out, _ = run(capsys, "--budget", "16", "rp", "adjoin", *args)
+                                    "generated extension closure exceeds budget")
+    code, out, _ = run(capsys, "--budget", "24", "rp", "adjoin", *args)
     assert code == 0 and out.endswith("\n4 members\n")
 
 

@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 from hypothesis import example, given, settings, strategies as st
 
-from ualg import (Equation, Morphism, UnknownElement, check_homomorphism, clone_n,
-                  direct_product, is_subuniverse, satisfies, validate_algebra)
+from ualg import (BudgetExceeded, Equation, Morphism, UnknownElement, check_homomorphism,
+                  clone_n, direct_product, is_subuniverse, satisfies, validate_algebra)
 from ualg import core
 from ualg.catalog import boolean_2, cyclic_group, sheffer, vector_space_gf
 from ualg.core import (PACK_LIMIT, ClosureWitness, FiniteAlgebra, Rows, Subuniverse, close,
@@ -596,6 +596,40 @@ def test_adjoin_matches_pointwise_closure(seed):
         assert r.images == tuple(label[std_embed(alg, m.at(i))] for m in members)
         assert all(r(c) == c for c in ext.constants())
         assert check_homomorphism(r)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_adjoin_budget_caps_attempts(seed):
+    # a budget of composition attempts refuses only a closure with more
+    # argument tuples than the budget, and a closure it lets through has
+    # the oracle's members and tables of at most twice the budget cells
+    rng = random.Random(seed)
+    (alg,) = random_family(rng, 1)
+    alg = symmetrised(alg, rng)
+    k, arity = len(alg.carrier), max(1, *(a for _, a in alg.signature.symbols))
+    pre, period = rng.randint(0, 1), rng.randint(1, 4)
+    while period > 1 and k ** ((pre + period) * arity) > 2048:
+        period -= 1
+    if k ** ((pre + period) * arity) > 2048:
+        pre = 0
+    gens = [
+        canonicalize(alg, [rng.choice(alg.carrier) for _ in range(rng.randint(0, pre))],
+                     [rng.choice(alg.carrier) for _ in range(period)])
+        for _ in range(rng.randint(1, 2))
+    ]
+    budget = rng.choice([0, 1, rng.randint(2, 60), rng.randint(60, 3000)])
+    members = tuple_adjoin_members(alg, gens)
+    tuples = sum(len(members) ** a for _, a in alg.signature.symbols if a)
+    try:
+        ext = adjoin_generate(alg, gens, budget)
+    except BudgetExceeded as exc:
+        assert str(exc) == "generated extension closure exceeds budget"
+        assert tuples > budget
+        return
+    assert ext.members == members
+    assert all(len(t) <= 2 * budget
+               for (_, a), t in zip(alg.signature.symbols, ext.algebra.tables) if a)
 
 
 def closure_case(seed, k, width, columns, arities, budget):

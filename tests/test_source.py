@@ -3,7 +3,8 @@ strips it, so a check on caller input must raise, and a re-check of a
 result the library has just built belongs in the tests.  No function
 takes a parameter that its body never reads, and no module imports a
 name that it never reads.  No result is kept from one call to the
-next.  And every top-level function and class has a reader."""
+next.  Every top-level function and class has a reader.  And every
+limit on cells is defined in `core`."""
 
 import ast
 from pathlib import Path
@@ -151,4 +152,15 @@ def test_every_definition_has_a_reader():
             own = read_names(stmt for stmt in tree.body if stmt is not node)
             if node.name not in others | own | exported | accepted:
                 found.append(f"{name}:{node.lineno} {node.name}")
+    assert found == []
+
+
+def test_cell_limits_live_in_core():
+    # a size limit kept beside the code it guards drifts from the others:
+    # every module-level name ending in _CELLS is assigned in core.py only
+    found = [f"{name}:{stmt.lineno} {t.id}" for name, tree in library_modules()
+             if name != "core.py" for stmt in tree.body
+             if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+             for t in getattr(stmt, "targets", [getattr(stmt, "target", None)])
+             if isinstance(t, ast.Name) and t.id.endswith("_CELLS")]
     assert found == []
